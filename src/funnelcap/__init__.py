@@ -36,9 +36,6 @@ from .feasibility import (
     BoundsSpec,
     StageFeasibility,
     FeasibilityReport,
-    delta_vector,
-    varphi,
-    rate_bound,
     check_feasibility,
     RegionTemplate,
     RegionResult,
@@ -92,9 +89,6 @@ __all__ = [
     "BoundsSpec",
     "StageFeasibility",
     "FeasibilityReport",
-    "delta_vector",
-    "varphi",
-    "rate_bound",
     "check_feasibility",
     "RegionTemplate",
     "RegionResult",

@@ -3,11 +3,11 @@ and input caps, plus feasible initial-state region sweeps.
 
 Prescribing a shrinking error envelope and a hard input cap at the same time
 involves a trade-off: a tight envelope may demand more actuation than the cap
-allows.  The certificate below resolves it per stage.  With
+allows.  The certificate resolves it with one recursion over the stages.  With
 
     delta_i   = [p_1 + v0_bar, ..., p_i + v_bar_{i-1}]
-    varphi_i  = k_i*||delta_i|| + d_bar_i + g_hi_i*p_{i+1} + g_hi_i*v_bar_i + r_{i-1}
-                (the g_hi_i*p_{i+1} term is dropped at the last stage)
+    varphi_i  = k_i*||delta_i|| + d_bar_i + g_hi_i*v_bar_i + r_{i-1} + g_hi_i*p_{i+1}
+                (r_0 = r0; the g_hi_i*p_{i+1} term is dropped at the last stage)
     r_i       = (varphi_i/q_i + mu_i*(p_i - q_i)/p_i) * |phi_lo_i|
 
 the prescription is certified feasible when, for every stage,
@@ -17,12 +17,14 @@ the prescription is certified feasible when, for every stage,
 and the start lies strictly inside every envelope, |z_i(0)| < p_i.  Here
 varphi_i bounds the worst growth rate of the stage error, the right-hand side
 is the worst restoring rate the capped stage output can still guarantee, and
-r_i bounds the slew rate of stage i's output (which the next stage must
-outrun, hence the recursion through r).
+r_i bounds the slew rate of stage i's output (phi_lo_i is the stage's most
+negative gain); stage i+1 must outrun it, hence the recursion through r.
 
-The region sweep re-runs the same arithmetic over a grid of initial states
-with the envelope start values tied to the state, p_i = |z_i(0)| + delta
-(two-stage systems, matching the offsets the user prescribes).
+The recursion is written once, in ``_certificate``, using only + - * / and
+sqrt, so it gives the same bits whether the envelope starts p_i are floats or
+numpy arrays that broadcast together.  ``check_feasibility`` runs it on one
+cascade; ``feasible_region`` runs it on a whole grid of two-stage start
+states at once, with each p_i = |z_i(0)| + delta tied to the state.
 """
 
 from __future__ import annotations
@@ -33,16 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams, gain_range, stage_control
+from .controller import CascadeConfig, StageControllerParams, clamp_theta, gain_range, stage_control
 from .funnel import FunnelParams
 
 __all__ = [
     "BoundsSpec",
     "StageFeasibility",
     "FeasibilityReport",
-    "delta_vector",
-    "varphi",
-    "rate_bound",
     "check_feasibility",
     "RegionTemplate",
     "RegionResult",
@@ -94,56 +93,43 @@ class BoundsSpec:
         return len(self.k)
 
 
-def delta_vector(i: int, p: Sequence[float], v_bar: Sequence[float]) -> list[float]:
-    """Stacked state-magnitude bounds [p_1 + v_bar_0, ..., p_i + v_bar_{i-1}].
+def _slew(varphi, p, q, mu, phi_lo):
+    """Slew-rate bound r = (varphi/q + mu*(p - q)/p) * |phi_lo| of a stage's output."""
+    return (varphi / q + mu * (p - q) / p) * abs(phi_lo)
 
-    ``i`` is 1-based; ``v_bar`` must carry the reference bound prepended, so
-    v_bar[0] bounds the reference and v_bar[j] bounds stage j's output.
+
+def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
+    """The certificate recursion: (varphi_i, rhs_i, margin_i) for each stage.
+
+    ``p`` holds the envelope starts as floats, or as numpy arrays whose shapes
+    grow along the cascade (an (nx,) row, then an (ny, nx) grid); the other
+    arguments are per-stage floats, ``phi_lo`` the most negative stage gains.
+    Only slew bounds a later stage consumes are computed.  Augmented operators
+    reuse fresh temporaries on arrays; swapped operands of + and * give the
+    same bits, since both commute exactly.
     """
-    if not 1 <= i <= len(p):
-        raise IndexError(f"stage index {i} out of range 1..{len(p)}")
-    if len(v_bar) < i:
-        raise IndexError(f"need {i} output bounds (reference included), got {len(v_bar)}")
-    return [float(p[j]) + float(v_bar[j]) for j in range(i)]
-
-
-def varphi(
-    i: int,
-    bounds: BoundsSpec,
-    funnels: Sequence[FunnelParams],
-    v_bar: Sequence[float],
-    r_prev: float,
-) -> float:
-    """Worst-case growth-rate bound of stage i's error.
-
-    Sums the drift bound k_i*||delta_i||, the disturbance bound, the drive the
-    next stage can inject (g_hi_i*p_{i+1}, absent at the last stage), the
-    stage's own capped actuation seen through g_hi_i, and the slew bound
-    r_{i-1} of the signal this stage is tracking.  ``v_bar`` lists the stage
-    output caps v_bar_1..v_bar_n (the reference bound comes from ``bounds``).
-    """
-    n = len(funnels)
-    p = [f.p for f in funnels]
-    prepended = [bounds.v0_bar, *[float(v) for v in v_bar]]
-    delta = delta_vector(i, p, prepended)
-    norm = math.sqrt(sum(x * x for x in delta))
-    val = bounds.k[i - 1] * norm + bounds.d_bar[i - 1] + bounds.g_hi[i - 1] * float(v_bar[i - 1]) + r_prev
-    if i < n:
-        val += bounds.g_hi[i - 1] * p[i]
-    return val
-
-
-def rate_bound(i: int, varphi_i: float, funnel_i: FunnelParams, gain_lo_i: float) -> float:
-    """Slew-rate bound r_i = (varphi_i/q_i + mu_i*(p_i - q_i)/p_i) * |gain_lo_i|.
-
-    ``gain_lo_i`` is the most-negative stage gain (first element of
-    gain_range).  Bounds how fast stage i's output can move, which enters the
-    next stage's growth bound.
-    """
-    if funnel_i.q <= 0.0 or funnel_i.p <= 0.0:
-        raise ValueError("rate_bound requires positive funnel bounds p and q")
-    theta_term = funnel_i.mu * (funnel_i.p - funnel_i.q) / funnel_i.p
-    return (varphi_i / funnel_i.q + theta_term) * abs(gain_lo_i)
+    n = len(p)
+    caps = (bounds.v0_bar, *v_bar)
+    sq = 0.0  # running ||delta_i||^2
+    r = bounds.r0
+    out = []
+    for i in range(n):
+        d = p[i] + caps[i]
+        d *= d
+        d += sq
+        sq = d
+        varphi = np.sqrt(sq)
+        varphi *= bounds.k[i]
+        varphi += bounds.d_bar[i]
+        varphi += bounds.g_hi[i] * v_bar[i]
+        r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
+        varphi = r
+        if i + 1 < n:
+            varphi = bounds.g_hi[i] * p[i + 1] + varphi
+            r = _slew(varphi, p[i], q[i], mu[i], phi_lo[i])
+        rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * v_bar[i] + mu[i] * (q[i] - p[i])
+        out.append((varphi, rhs, rhs - varphi))
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,10 +180,10 @@ class FeasibilityReport:
 def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[float]) -> FeasibilityReport:
     """Run the full per-stage certificate for a cascade and initial errors z0.
 
-    Evaluates the varphi/r recursion from stage 1 up, the strict margin
-    rhs_i - varphi_i with rhs_i = (g_hi_i + g_lo_i)*v_bar_i + mu_i*(q_i - p_i),
-    and the strict start condition p_i > |z_i(0)|.  Feasible only if every
-    stage passes both.
+    Evaluates the varphi/r recursion from stage 1 up (the one region sweeps
+    run), the strict margin rhs_i - varphi_i with rhs_i = (g_hi_i +
+    g_lo_i)*v_bar_i + mu_i*(q_i - p_i), and the strict start condition
+    p_i > |z_i(0)|.  Feasible only if every stage passes both.
     """
     n = config.n
     if bounds.n != n:
@@ -205,31 +191,31 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     if len(z0) != n:
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
     funnels = [s.funnel for s in config.stages]
-    v_bar = [s.v_bar for s in config.stages]
+    phi_lo = [gain_range(s)[0] for s in config.stages]
+    rows = _certificate(
+        bounds,
+        [f.p for f in funnels],
+        [f.q for f in funnels],
+        [f.mu for f in funnels],
+        [s.v_bar for s in config.stages],
+        phi_lo,
+    )
 
     stages = []
-    r_prev = bounds.r0
-    for i in range(1, n + 1):
-        stage = config.stages[i - 1]
-        fun = funnels[i - 1]
-        varphi_i = varphi(i, bounds, funnels, v_bar, r_prev)
-        rhs_i = (bounds.g_hi[i - 1] + bounds.g_lo[i - 1]) * stage.v_bar + fun.mu * (fun.q - fun.p)
-        gain_lo_i = gain_range(stage)[0]
-        r_i = rate_bound(i, varphi_i, fun, gain_lo_i)
-        z0_i = float(z0[i - 1])
+    for i, (fun, (varphi_i, rhs_i, margin_i)) in enumerate(zip(funnels, rows)):
+        z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
-                stage=i,
-                varphi=varphi_i,
+                stage=i + 1,
+                varphi=float(varphi_i),
                 rhs=rhs_i,
-                margin=rhs_i - varphi_i,
-                r=r_i,
+                margin=float(margin_i),
+                r=float(_slew(varphi_i, fun.p, fun.q, fun.mu, phi_lo[i])),
                 p=fun.p,
                 z0=z0_i,
                 trivial_margin=fun.p - abs(z0_i),
             )
         )
-        r_prev = r_i
     return FeasibilityReport(stages=tuple(stages), feasible=all(s.feasible for s in stages))
 
 
@@ -295,15 +281,24 @@ class PointFeasibility:
         return self.report.feasible
 
 
-def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
-    """Per-point certificate: derive p_1, p_2 from the state, then run the
-    full recursion through check_feasibility (the reference route the
-    vectorized sweep is validated against)."""
-    x = float(x)
-    y = float(y)
+def _stage1_start(template: RegionTemplate, x: float, law: StageControllerParams) -> tuple[float, float, float]:
+    """z_1(0), p_1 and u_1(0) at start state x; ``law`` is stage 1 with any
+    envelope.  theta is clamped as in the closed loop, since z_1/p_1 rounds
+    to +/-1 at far cells."""
     z1 = x - template.y_d0
     p1 = abs(z1) + template.deltas[0]
-    z2 = y - stage_control(z1 / p1, template.stage(0, p1))
+    theta, _ = clamp_theta(z1 / p1)
+    return z1, p1, stage_control(theta, law)
+
+
+def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
+    """Per-point certificate: derive p_1, p_2 from the state, then run the
+    full recursion through check_feasibility.  Does per cell the arithmetic
+    feasible_region does per grid, so the two agree bit for bit."""
+    x = float(x)
+    y = float(y)
+    z1, p1, u1 = _stage1_start(template, x, template.stage(0, template.q[0]))
+    z2 = y - u1
     p2 = abs(z2) + template.deltas[1]
     config = CascadeConfig(n=2, stages=(template.stage(0, p1), template.stage(1, p2)))
     report = check_feasibility(config, template.bounds, (z1, z2))
@@ -330,13 +325,16 @@ class RegionResult:
 
 
 def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[float]) -> RegionResult:
-    """Vectorized certificate sweep over a rectangular grid of initial states.
+    """Certificate sweep over a rectangular grid of initial states.
 
-    For each cell the envelope starts are p_1 = |x - y_d0| + deltas[0] and
-    p_2 = |y - u_1(0)| + deltas[1] (u_1 evaluated through the stage-1 law),
-    after which both stage margins are evaluated exactly as in
-    check_feasibility.  A cell is feasible iff both margins are strictly
-    positive; the start condition holds by construction since deltas > 0.
+    Stage 1's envelope start p_1 = |x - y_d0| + deltas[0] and output u_1(0)
+    depend on x alone, so they are computed once per x with the scalar stage
+    law.  p_2 = |y - u_1(0)| + deltas[1] then spans the grid, and the
+    certificate recursion runs once with p_1 as an (nx,) row and p_2 as the
+    (ny, nx) grid.  Every cell gets the arithmetic check_point does, so mask
+    and margins match it exactly.  A cell is feasible iff both margins are
+    strictly positive; the start condition holds by construction since
+    deltas > 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -345,30 +343,14 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
 
-    b = template.bounds
-    d1, d2 = template.deltas
-    q1, q2 = template.q
-    mu1, mu2 = template.mu
-    vb1, vb2 = template.v_bar
-    c1, c2 = template.c
-    # gain_range is independent of the funnel; a flat p = q envelope is
-    # always constructible
-    phi_lo1 = gain_range(template.stage(0, q1))[0]
-
-    z1 = x[None, :] - template.y_d0
-    p1 = np.abs(z1) + d1
-    theta1 = z1 / p1
-    u1 = -(2.0 * vb1 / math.pi) * np.arctan((math.pi / (2.0 * c1)) * np.tan(0.5 * math.pi * theta1))
-    z2 = y[:, None] - u1
-    p2 = np.abs(z2) + d2
-
-    varphi1 = b.k[0] * (p1 + b.v0_bar) + b.d_bar[0] + b.g_hi[0] * p2 + b.g_hi[0] * vb1 + b.r0
-    margin1 = (b.g_hi[0] + b.g_lo[0]) * vb1 + mu1 * (q1 - p1) - varphi1
-    r1 = (varphi1 / q1 + mu1 * (p1 - q1) / p1) * abs(phi_lo1)
-    norm2 = np.sqrt((p1 + b.v0_bar) ** 2 + (p2 + vb1) ** 2)
-    varphi2 = b.k[1] * norm2 + b.d_bar[1] + b.g_hi[1] * vb2 + r1
-    margin2 = (b.g_hi[1] + b.g_lo[1]) * vb2 + mu2 * (q2 - p2) - varphi2
-
+    law = template.stage(0, template.q[0])
+    _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
+    p2 = y[:, None] - u1
+    np.abs(p2, out=p2)
+    p2 += template.deltas[1]
+    (_, _, margin1), (_, _, margin2) = _certificate(
+        template.bounds, (p1, p2), template.q, template.mu, template.v_bar, (gain_range(law)[0],)
+    )
     feasible = (margin1 > 0.0) & (margin2 > 0.0)
     return RegionResult(x=x, y=y, feasible=feasible, margin_c1=margin1, margin_c2=margin2)
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .simulator import Scenario
 
 __all__ = [
     "SystemSpec",
@@ -181,7 +184,7 @@ BUILTIN_NAMES = ("pendulum_ex1", "nonlinear_ex2")
 class BuiltinExample(NamedTuple):
     system: SystemSpec
     reference: ReferenceSpec
-    scenario: object  # funnelcap.simulator.Scenario
+    scenario: Scenario
 
 
 def builtin_system(name: str) -> BuiltinExample:

@@ -13,12 +13,9 @@ from funnelcap import (
     StageControllerParams,
     check_feasibility,
     check_point,
-    delta_vector,
     feasible_region,
     gain_range,
-    rate_bound,
     region_to_csv,
-    varphi,
 )
 
 HALF_PI = math.pi / 2.0
@@ -98,53 +95,63 @@ def inline_recursion(config, bounds):
     return out
 
 
+def zero_bounds(n=2):
+    return BoundsSpec(k=(0.0,) * n, g_lo=(0.0,) * n, g_hi=(0.0,) * n, d_bar=(0.0,) * n, v0_bar=0.0, r0=0.0)
+
+
 class TestDeltaVector:
+    """The stacked state box delta_i = [p_1 + v0_bar, ..., p_i + v_bar_{i-1}]
+    enters varphi_i through its norm; unit growth constants and no other
+    terms expose that norm."""
+
+    unit_growth = BoundsSpec(k=(1.0, 1.0), g_lo=(0.0, 0.0), g_hi=(0.0, 0.0), d_bar=(0.0, 0.0), v0_bar=1.0, r0=0.0)
+
     def test_pendulum_stage_1(self):
-        assert delta_vector(1, [1.0, 1.4], [1.0, 4.5, 8.0]) == [2.0]
+        s1 = check_feasibility(ex1_config(), self.unit_growth, [0.0, 0.0]).stages[0]
+        assert s1.varphi == 2.0
 
     def test_pendulum_stage_2(self):
-        assert delta_vector(2, [1.0, 1.4], [1.0, 4.5, 8.0]) == [2.0, 5.9]
-
-    def test_all_zero(self):
-        assert delta_vector(2, [0.0, 0.0], [0.0, 0.0, 0.0]) == [0.0, 0.0]
-
-    @pytest.mark.parametrize("i", [0, 3, -1])
-    def test_index_out_of_range(self, i):
-        with pytest.raises(IndexError):
-            delta_vector(i, [1.0, 1.4], [1.0, 4.5, 8.0])
+        s1, s2 = check_feasibility(ex1_config(), self.unit_growth, [0.0, 0.0]).stages
+        assert s2.varphi - s1.r == pytest.approx(math.hypot(2.0, 5.9), rel=1e-12)
 
 
 class TestVarphi:
     def test_pendulum_stage_1(self):
-        funnels = [s.funnel for s in ex1_config().stages]
-        assert varphi(1, ex1_bounds(), funnels, [4.5, 8.0], 0.5) == pytest.approx(6.4, rel=1e-12)
+        s1 = check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages[0]
+        assert s1.varphi == pytest.approx(6.4, rel=1e-12)
 
     def test_all_zero_bounds(self):
-        zero = BoundsSpec(k=(0.0, 0.0), g_lo=(0.0, 0.0), g_hi=(0.0, 0.0), d_bar=(0.0, 0.0), v0_bar=0.0, r0=0.0)
-        funnels = [s.funnel for s in ex1_config().stages]
-        assert varphi(1, zero, funnels, [4.5, 8.0], 0.0) == 0.0
+        assert check_feasibility(ex1_config(), zero_bounds(), [0.0, 0.0]).stages[0].varphi == 0.0
 
     def test_pendulum_stage_2_drops_next_envelope_term(self):
-        funnels = [s.funnel for s in ex1_config().stages]
-        r1 = 579.8475
-        expected = 9.8 * math.sqrt(2.0) * math.sqrt(2.0**2 + 5.9**2) + 0.5 + 100.0 * 8.0 + r1
-        assert varphi(2, ex1_bounds(), funnels, [4.5, 8.0], r1) == pytest.approx(expected, rel=1e-12)
+        s1, s2 = check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages
+        expected = 9.8 * math.sqrt(2.0) * math.sqrt(2.0**2 + 5.9**2) + 0.5 + 100.0 * 8.0 + s1.r
+        assert s2.varphi == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1466.6876690987456, rel=1e-12)
 
 
 class TestRateBound:
     def test_pendulum_stage_1(self):
-        fun = FunnelParams(p=1.0, q=0.05, mu=0.9)
+        s1 = check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages[0]
         expected = (6.4 / 0.05 + 0.9 * 0.95 / 1.0) * 4.5
-        assert rate_bound(1, 6.4, fun, -4.5) == pytest.approx(expected, rel=1e-12)
+        assert s1.r == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(579.8475, rel=1e-12)
 
     def test_flat_funnel_with_zero_growth(self):
-        assert rate_bound(1, 0.0, FunnelParams(p=0.3, q=0.3, mu=1.0), -2.0) == 0.0
+        flat = CascadeConfig(n=1, stages=(StageControllerParams(v_bar=2.0, funnel=FunnelParams(p=0.3, q=0.3, mu=1.0)),))
+        assert check_feasibility(flat, zero_bounds(1), [0.0]).stages[0].r == 0.0
 
     def test_linear_in_gain_magnitude(self):
-        fun = FunnelParams(p=1.0, q=0.05, mu=0.9)
-        assert rate_bound(1, 6.4, fun, -9.0) == pytest.approx(2.0 * rate_bound(1, 6.4, fun, -4.5), rel=1e-12)
+        # for c >= pi/2 the most negative gain is -2*v_bar*c/pi, so doubling c
+        # doubles |phi_lo| and leaves varphi alone
+        def stage_1(c):
+            config = ex1_config()
+            wider = StageControllerParams(v_bar=4.5, c=c, funnel=config.stages[0].funnel)
+            return check_feasibility(CascadeConfig(n=2, stages=(wider, config.stages[1])), ex1_bounds(), [0.0, 0.0]).stages[0]
+
+        base, doubled = stage_1(HALF_PI), stage_1(math.pi)
+        assert doubled.varphi == base.varphi
+        assert doubled.r == pytest.approx(2.0 * base.r, rel=1e-12)
 
 
 class TestCheckFeasibility:
@@ -227,6 +234,49 @@ def test_recursion_matches_inline_for_random_cascades(n, data):
         assert stage.r == pytest.approx(r, rel=1e-12, abs=1e-12)
 
 
+@given(data=st.data())
+def test_sweep_matches_inline_recursion_for_random_templates(data):
+    q = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+    extras = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2))
+    mus = data.draw(st.lists(st.floats(0.05, 4.0), min_size=2, max_size=2))
+    vbs = data.draw(st.lists(st.floats(0.1, 20.0), min_size=2, max_size=2))
+    cs = data.draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2))
+    glos = data.draw(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2))
+    gext = data.draw(st.lists(st.floats(0.0, 90.0), min_size=2, max_size=2))
+    bounds = BoundsSpec(
+        k=data.draw(st.lists(st.floats(0.0, 15.0), min_size=2, max_size=2)),
+        g_lo=glos,
+        g_hi=[lo + e for lo, e in zip(glos, gext)],
+        d_bar=data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2)),
+        v0_bar=data.draw(st.floats(0.0, 3.0)),
+        r0=data.draw(st.floats(0.0, 3.0)),
+    )
+    deltas = [qi + e for qi, e in zip(q, extras)]
+    y_d0 = data.draw(st.floats(-1.0, 1.0))
+    template = RegionTemplate(deltas=deltas, q=q, mu=mus, v_bar=vbs, c=cs, bounds=bounds, y_d0=y_d0)
+    x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
+    y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
+
+    res = feasible_region(template, x, y)
+    for iy in range(y.size):
+        for ix in range(x.size):
+            z1 = x[ix] - y_d0
+            p1 = abs(z1) + deltas[0]
+            u1 = -(2.0 * vbs[0] / math.pi) * math.atan((math.pi / (2.0 * cs[0])) * math.tan(HALF_PI * z1 / p1))
+            p2 = abs(y[iy] - u1) + deltas[1]
+            config = CascadeConfig(
+                n=2,
+                stages=tuple(
+                    StageControllerParams(v_bar=vbs[i], c=cs[i], funnel=FunnelParams(p=p, q=q[i], mu=mus[i]))
+                    for i, p in enumerate((p1, p2))
+                ),
+            )
+            margins = (res.margin_c1[iy, ix], res.margin_c2[iy, ix])
+            for margin, (var, rhs, expected, _) in zip(margins, inline_recursion(config, bounds)):
+                # relative to the terms the margin subtracts, which it may cancel
+                assert margin == pytest.approx(expected, rel=1e-12, abs=1e-12 * (abs(var) + abs(rhs)))
+
+
 class TestMarginMonotonicity:
     def base_margins(self):
         return [s.margin for s in check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages]
@@ -288,9 +338,12 @@ class TestRegion:
         assert pt.report.stages[1].margin == pytest.approx(-8.753589691475526, rel=1e-9)
 
     def test_far_cells_are_infeasible(self):
-        res = feasible_region(ex1_template(), np.array([-50.0, 50.0]), np.array([0.0]))
+        # at |x| = 1e17, z_1/p_1 rounds to +/-1 and the stage-1 law needs the clamp
+        x = np.array([-1e17, -50.0, 50.0, 1e17])
+        res = feasible_region(ex1_template(), x, np.array([0.0]))
         assert not res.feasible.any()
         assert (res.margin_c1 < 0.0).all()
+        assert not any(check_point(ex1_template(), xi, 0.0).feasible for xi in x)
 
     def test_sweep_matches_point_checks_everywhere(self):
         template = ex1_template()
@@ -301,8 +354,8 @@ class TestRegion:
             for ix in range(x.size):
                 pt = check_point(template, x[ix], y[iy])
                 assert pt.feasible == bool(res.feasible[iy, ix])
-                assert res.margin_c1[iy, ix] == pytest.approx(pt.report.stages[0].margin, rel=1e-10, abs=1e-9)
-                assert res.margin_c2[iy, ix] == pytest.approx(pt.report.stages[1].margin, rel=1e-10, abs=1e-9)
+                assert res.margin_c1[iy, ix] == pt.report.stages[0].margin
+                assert res.margin_c2[iy, ix] == pt.report.stages[1].margin
 
     def test_sweep_matches_point_checks_second_example(self):
         template = ex2_template()
@@ -311,7 +364,10 @@ class TestRegion:
         res = feasible_region(template, x, y)
         for iy in range(y.size):
             for ix in range(x.size):
-                assert check_point(template, x[ix], y[iy]).feasible == bool(res.feasible[iy, ix])
+                pt = check_point(template, x[ix], y[iy])
+                assert pt.feasible == bool(res.feasible[iy, ix])
+                assert res.margin_c1[iy, ix] == pt.report.stages[0].margin
+                assert res.margin_c2[iy, ix] == pt.report.stages[1].margin
 
     def test_region_nonempty_and_contains_starts(self):
         res1 = feasible_region(ex1_template(), np.linspace(-2, 2, 41), np.linspace(-2, 2, 41))
