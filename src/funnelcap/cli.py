@@ -1,7 +1,7 @@
 """Command-line front end: feasibility checks, closed-loop runs, region sweeps.
 
-Exit codes: 0 success (or feasible), 1 infeasible verdict or runtime failure,
-2 configuration errors.
+Exit codes: 0 success (or feasible), 1 infeasible verdict, runtime failure or
+monitor violations in a non-permissive simulate run, 2 configuration errors.
 """
 
 from __future__ import annotations
@@ -78,16 +78,19 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     events = list(traj.events)
+    violations = 0
     if sc.bounds is not None:
         report = monitor(traj, sc.controller, sc.bounds)
         events.extend(report.events)
         write_monitor_csv(report, out / "monitor.csv")
         print(report)
+        violations = report.total_violations
     else:
         print("no bounds section: monitor skipped")
     write_events_csv(events, out / "events.csv")
     print(f"wrote {out / 'trajectory.csv'}, {out / 'events.csv'}" + (f", {out / 'monitor.csv'}" if sc.bounds else ""))
-    return _EXIT_OK
+    # A permissive run was asked to go on past broken bounds; any other run fails on them.
+    return _EXIT_FAIL if violations and not args.permissive else _EXIT_OK
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -23,14 +23,15 @@ negative gain); stage i+1 must outrun it, hence the recursion through r.
 The recursion is written once, in ``_certificate``, using only + - * / and
 sqrt, so it gives the same bits whether the envelope starts p_i are floats or
 numpy arrays that broadcast together.  ``check_feasibility`` runs it on one
-cascade; ``feasible_region`` runs it on a whole grid of two-stage start
-states at once, with each p_i = |z_i(0)| + delta tied to the state.
+cascade; ``feasible_region`` runs it on row tiles of a grid of two-stage
+start states, with each p_i = |z_i(0)| + delta tied to the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,10 @@ __all__ = [
     "feasible_region",
     "region_to_csv",
 ]
+
+# Cells per row tile of the region sweep: small enough that the recursion's
+# temporaries stay in cache, and at least one grid row.
+_TILE_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,8 @@ def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
     arguments are per-stage floats, ``phi_lo`` the most negative stage gains.
     Only slew bounds a later stage consumes are computed.  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
-    same bits, since both commute exactly.
+    same bits, since both commute exactly.  Float inputs stay Python floats
+    (math.sqrt and np.sqrt are both correctly rounded).
     """
     n = len(p)
     caps = (bounds.v0_bar, *v_bar)
@@ -118,7 +124,7 @@ def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
         d *= d
         d += sq
         sq = d
-        varphi = np.sqrt(sq)
+        varphi = math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
         varphi *= bounds.k[i]
         varphi += bounds.d_bar[i]
         varphi += bounds.g_hi[i] * v_bar[i]
@@ -191,18 +197,21 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     if len(z0) != n:
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
     funnels = [s.funnel for s in config.stages]
-    phi_lo = [gain_range(s)[0] for s in config.stages]
-    rows = _certificate(
+    return _report(
         bounds,
         [f.p for f in funnels],
         [f.q for f in funnels],
         [f.mu for f in funnels],
         [s.v_bar for s in config.stages],
-        phi_lo,
+        [gain_range(s)[0] for s in config.stages],
+        z0,
     )
 
+
+def _report(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo, z0: Sequence[float]) -> FeasibilityReport:
+    """Run the certificate on per-stage floats and assemble its report."""
     stages = []
-    for i, (fun, (varphi_i, rhs_i, margin_i)) in enumerate(zip(funnels, rows)):
+    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, q, mu, v_bar, phi_lo)):
         z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
@@ -210,10 +219,10 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
                 varphi=float(varphi_i),
                 rhs=rhs_i,
                 margin=float(margin_i),
-                r=float(_slew(varphi_i, fun.p, fun.q, fun.mu, phi_lo[i])),
-                p=fun.p,
+                r=float(_slew(varphi_i, p[i], q[i], mu[i], phi_lo[i])),
+                p=p[i],
                 z0=z0_i,
-                trivial_margin=fun.p - abs(z0_i),
+                trivial_margin=p[i] - abs(z0_i),
             )
         )
     return FeasibilityReport(stages=tuple(stages), feasible=all(s.feasible for s in stages))
@@ -265,6 +274,16 @@ class RegionTemplate:
             funnel=FunnelParams(p=p, q=self.q[i], mu=self.mu[i]),
         )
 
+    # Every cell shares the stage laws, which ignore the envelope start.
+    @cached_property
+    def _stage1_law(self) -> StageControllerParams:
+        return self.stage(0, self.q[0])
+
+    @cached_property
+    def _phi_lo(self) -> tuple[float, float]:
+        """Most negative gain of each stage law."""
+        return (gain_range(self._stage1_law)[0], gain_range(self.stage(1, self.q[1]))[0])
+
 
 @dataclass(frozen=True)
 class PointFeasibility:
@@ -293,15 +312,16 @@ def _stage1_start(template: RegionTemplate, x: float, law: StageControllerParams
 
 def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
     """Per-point certificate: derive p_1, p_2 from the state, then run the
-    full recursion through check_feasibility.  Does per cell the arithmetic
+    full recursion as check_feasibility does.  Does per cell the arithmetic
     feasible_region does per grid, so the two agree bit for bit."""
     x = float(x)
     y = float(y)
-    z1, p1, u1 = _stage1_start(template, x, template.stage(0, template.q[0]))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"start state must be finite, got ({x}, {y})")
+    z1, p1, u1 = _stage1_start(template, x, template._stage1_law)
     z2 = y - u1
     p2 = abs(z2) + template.deltas[1]
-    config = CascadeConfig(n=2, stages=(template.stage(0, p1), template.stage(1, p2)))
-    report = check_feasibility(config, template.bounds, (z1, z2))
+    report = _report(template.bounds, (p1, p2), template.q, template.mu, template.v_bar, template._phi_lo, (z1, z2))
     return PointFeasibility(x=x, y=y, p=(p1, p2), z0=(z1, z2), report=report)
 
 
@@ -330,11 +350,13 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     Stage 1's envelope start p_1 = |x - y_d0| + deltas[0] and output u_1(0)
     depend on x alone, so they are computed once per x with the scalar stage
     law.  p_2 = |y - u_1(0)| + deltas[1] then spans the grid, and the
-    certificate recursion runs once with p_1 as an (nx,) row and p_2 as the
-    (ny, nx) grid.  Every cell gets the arithmetic check_point does, so mask
-    and margins match it exactly.  A cell is feasible iff both margins are
-    strictly positive; the start condition holds by construction since
-    deltas > 0.
+    certificate recursion runs with p_1 as an (nx,) row and p_2 as one tile
+    of grid rows at a time (about _TILE_CELLS cells), so its temporaries stay
+    in cache and peak memory is about the size of the outputs.  The
+    arithmetic is elementwise, so tiling changes no bit: every cell gets the
+    arithmetic check_point does, and mask and margins match it exactly.  A
+    cell is feasible iff both margins are strictly positive; the start
+    condition holds by construction since deltas > 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -343,26 +365,36 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
 
-    law = template.stage(0, template.q[0])
+    law = template._stage1_law
     _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
-    p2 = y[:, None] - u1
-    np.abs(p2, out=p2)
-    p2 += template.deltas[1]
-    (_, _, margin1), (_, _, margin2) = _certificate(
-        template.bounds, (p1, p2), template.q, template.mu, template.v_bar, (gain_range(law)[0],)
-    )
-    feasible = (margin1 > 0.0) & (margin2 > 0.0)
+    margin1 = np.empty((y.size, x.size))
+    margin2 = np.empty_like(margin1)
+    rows = max(1, _TILE_CELLS // x.size)
+    for start in range(0, y.size, rows):
+        tile = slice(start, start + rows)
+        p2 = y[tile, None] - u1
+        np.abs(p2, out=p2)
+        p2 += template.deltas[1]
+        (_, _, m1), (_, _, m2) = _certificate(
+            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, template._phi_lo
+        )
+        margin1[tile] = m1
+        margin2[tile] = m2
+    feasible = margin1 > 0.0
+    feasible &= margin2 > 0.0
     return RegionResult(x=x, y=y, feasible=feasible, margin_c1=margin1, margin_c2=margin2)
 
 
 def region_to_csv(result: RegionResult, path) -> None:
-    """Write one row per cell: x, y, feasible(0/1), margin_c1, margin_c2."""
+    """Write one row per cell: x, y, feasible(0/1), margin_c1, margin_c2.
+
+    Works one grid row at a time: each x and y is formatted once, and only
+    one row of the mask and margins is converted to Python values at a time.
+    """
+    xs = ["%.17g" % v for v in result.x.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,feasible,margin_c1,margin_c2\n")
-        for iy in range(result.y.size):
-            for ix in range(result.x.size):
-                fh.write(
-                    f"{result.x[ix]:.17g},{result.y[iy]:.17g},"
-                    f"{1 if result.feasible[iy, ix] else 0},"
-                    f"{result.margin_c1[iy, ix]:.17g},{result.margin_c2[iy, ix]:.17g}\n"
-                )
+        for yv, mask, m1, m2 in zip(result.y.tolist(), result.feasible, result.margin_c1, result.margin_c2):
+            y = "%.17g" % yv
+            cells = zip(xs, mask.tolist(), m1.tolist(), m2.tolist())
+            fh.write("".join(["%s,%s,%d,%.17g,%.17g\n" % (x, y, f, a, b) for x, f, a, b in cells]))

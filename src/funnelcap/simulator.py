@@ -366,6 +366,10 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+# Rows of the trajectory table formatted per write.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per sample: t, xi_1..n, z_1..n, theta_1..n, u_1..n, psi_1..n, y_d."""
     n = trajectory.n
@@ -378,14 +382,22 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         + [f"psi_{i + 1}" for i in range(n)]
         + ["y_d"]
     )
+    blocks = (
+        trajectory.t[:, None],
+        trajectory.xi,
+        trajectory.z,
+        trajectory.theta,
+        trajectory.u,
+        trajectory.psi,
+        trajectory.y_d[:, None],
+    )
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(trajectory.samples):
-            row = [trajectory.t[k]]
-            for block in (trajectory.xi, trajectory.z, trajectory.theta, trajectory.u, trajectory.psi):
-                row.extend(block[k])
-            row.append(trajectory.y_d[k])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # One block of rows at a time, so the whole table is never built.
+        for start in range(0, trajectory.samples, _CSV_BLOCK_ROWS):
+            rows = np.hstack([b[start : start + _CSV_BLOCK_ROWS] for b in blocks])
+            fh.write("".join([line % tuple(row) for row in rows.tolist()]))
 
 
 def write_events_csv(events: Sequence[Event], path) -> None:

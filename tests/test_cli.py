@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,16 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(fc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "funnelcap", "dump-defaults"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == fc.dump_defaults("pendulum_ex1")
 
 
 class TestDumpDefaults:
@@ -104,7 +119,29 @@ class TestSimulate:
         assert "trivial_violation" in events
 
 
+    def test_monitor_violations_exit_one_unless_permissive(self, tmp_path, capsys):
+        # Without sim.substeps one RK4 step per millisecond is unstable near
+        # the settled envelope; the monitor sees it before 2.5 s.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        del cfg["sim"]["substeps"]
+        cfg["sim"]["horizon"] = 2.5
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "runout"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert "total violations: 0" not in capsys.readouterr().out
+        for name in ("trajectory.csv", "events.csv", "monitor.csv"):
+            assert (out / name).exists()
+        assert "violation_error_envelope" in (out / "events.csv").read_text()
+        assert main(["simulate", str(path), "--out", str(out), "--permissive"]) == 0
+
+
 class TestRegion:
+    def test_region_csv_bytes_are_pinned(self, ex1_config_path, tmp_path):
+        out = tmp_path / "regout"
+        assert main(["region", str(ex1_config_path), "--out", str(out), "--grid", "41x41"]) == 0
+        digest = hashlib.sha256((out / "region.csv").read_bytes()).hexdigest()
+        assert digest == "e0e249164560d219f6c712b74b5c76b516d7e355f17691d991c2df7d302635a7"
+
     def test_bundled_pendulum_region(self, ex1_config_path, tmp_path, capsys):
         out = tmp_path / "regout"
         assert main(["region", str(ex1_config_path), "--out", str(out), "--grid", "41x41"]) == 0

@@ -9,6 +9,7 @@ from funnelcap import (
     BoundsSpec,
     CascadeConfig,
     FunnelParams,
+    RegionResult,
     RegionTemplate,
     StageControllerParams,
     check_feasibility,
@@ -17,6 +18,7 @@ from funnelcap import (
     gain_range,
     region_to_csv,
 )
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage1_start
 
 HALF_PI = math.pi / 2.0
 
@@ -404,6 +406,67 @@ class TestRegion:
         assert pt.p[0] == pytest.approx(0.6, rel=1e-12)
         res = feasible_region(template, np.array([0.1]), np.array([0.0]))
         assert bool(res.feasible[0, 0]) == pt.feasible
+
+    @pytest.mark.parametrize(
+        "nx, ny",
+        [
+            (2, 2),
+            (101, 2 * (_TILE_CELLS // 101) + 7),  # two full row tiles and a partial one
+            (_TILE_CELLS + 1, 3),  # rows wider than the budget: one row per tile
+        ],
+    )
+    @pytest.mark.parametrize("template", [ex1_template(), ex2_template()], ids=["ex1", "ex2"])
+    def test_tiled_sweep_matches_one_full_grid_certificate(self, template, nx, ny):
+        x = np.linspace(-2.0, 2.0, nx)
+        y = np.linspace(-2.5, 2.5, ny)
+        law = template.stage(0, template.q[0])
+        _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
+        p2 = np.abs(y[:, None] - u1) + template.deltas[1]
+        (_, _, m1), (_, _, m2) = _certificate(
+            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, (gain_range(law)[0],)
+        )
+        res = feasible_region(template, x, y)
+        assert res.margin_c1.shape == res.margin_c2.shape == res.feasible.shape == (ny, nx)
+        assert np.array_equal(res.margin_c1, m1)
+        assert np.array_equal(res.margin_c2, m2)
+        assert np.array_equal(res.feasible, (m1 > 0.0) & (m2 > 0.0))
+
+    def test_point_report_fields_are_python_floats(self):
+        for template, (x, y) in ((ex1_template(), (-0.5, 1.0)), (ex2_template(), (0.2, -0.8))):
+            for s in check_point(template, x, y).report.stages:
+                for name in ("varphi", "rhs", "margin", "r", "p", "z0", "trivial_margin"):
+                    assert type(getattr(s, name)) is float, name
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, -math.inf), (0.0, math.nan)])
+    def test_point_check_rejects_non_finite_start(self, x, y):
+        with pytest.raises(ValueError):
+            check_point(ex1_template(), x, y)
+
+    @pytest.mark.parametrize(
+        "res",
+        [
+            feasible_region(ex1_template(), np.linspace(-2.0, 2.0, 37), np.linspace(-2.0, 2.0, 29)),
+            RegionResult(
+                x=np.array([-0.0, 1e-300, 2.5]),
+                y=np.array([0.1, -1e17]),
+                feasible=np.array([[True, False, True], [False, False, True]]),
+                margin_c1=np.array([[-0.0, np.inf, np.nan], [1.0 / 3.0, -np.inf, 5e-324]]),
+                margin_c2=np.array([[np.nan, -0.0, 0.0], [np.inf, 123456789.125, -2.0]]),
+            ),
+        ],
+        ids=["sweep", "special-values"],
+    )
+    def test_csv_bytes_match_per_cell_writer(self, res, tmp_path):
+        lines = ["x,y,feasible,margin_c1,margin_c2\n"]
+        for iy in range(res.y.size):
+            for ix in range(res.x.size):
+                lines.append(
+                    f"{res.x[ix]:.17g},{res.y[iy]:.17g},{1 if res.feasible[iy, ix] else 0},"
+                    f"{res.margin_c1[iy, ix]:.17g},{res.margin_c2[iy, ix]:.17g}\n"
+                )
+        path = tmp_path / "region.csv"
+        region_to_csv(res, path)
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
 
     def test_csv_round_trip(self, tmp_path):
         res = feasible_region(ex1_template(), np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import funnelcap as fc
-from funnelcap.simulator import _control_path
+from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path
 
 ZERO_REF = fc.ReferenceSpec(y_d=lambda t: 0.0, y_d_rate=lambda t: 0.0)
 
@@ -204,6 +204,23 @@ class TestCsv:
         assert np.array_equal(data[:, 7:9], traj.u)
         assert np.array_equal(data[:, 9:11], traj.psi)
         assert np.array_equal(data[:, 11], traj.y_d)
+
+    def test_trajectory_csv_bytes_match_per_value_writer(self, ex1_trajectory, tmp_path):
+        # Two full write blocks and a one-row block; the first row carries
+        # special values.
+        k = slice(0, 2 * _CSV_BLOCK_ROWS + 1)
+        fields = {f: np.array(getattr(ex1_trajectory, f)[k]) for f in ("t", "xi", "z", "theta", "u", "psi", "y_d")}
+        fields["xi"][0] = (-0.0, np.inf)
+        fields["u"][0] = (np.nan, -np.inf)
+        fields["y_d"][0] = 5e-324
+        traj = fc.Trajectory(events=(), **fields)
+        lines = ["t,xi_1,xi_2,z_1,z_2,theta_1,theta_2,u_1,u_2,psi_1,psi_2,y_d\n"]
+        for i in range(traj.samples):
+            row = [traj.t[i], *traj.xi[i], *traj.z[i], *traj.theta[i], *traj.u[i], *traj.psi[i], traj.y_d[i]]
+            lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+        path = tmp_path / "trajectory.csv"
+        fc.write_trajectory_csv(traj, path)
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
 
     def test_events_csv(self, ex1, tmp_path):
         sc = dataclasses.replace(ex1.scenario, x0=(2.0, 1.0), horizon=0.01)
