@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,8 +110,7 @@ def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
     arguments are per-stage floats, ``phi_lo`` the most negative stage gains.
     Only slew bounds a later stage consumes are computed.  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
-    same bits, since both commute exactly.  Float inputs stay Python floats
-    (math.sqrt and np.sqrt are both correctly rounded).
+    same bits, since both commute exactly.
     """
     n = len(p)
     caps = (bounds.v0_bar, *v_bar)
@@ -124,7 +122,7 @@ def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
         d *= d
         d += sq
         sq = d
-        varphi = math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+        varphi = np.sqrt(sq)
         varphi *= bounds.k[i]
         varphi += bounds.d_bar[i]
         varphi += bounds.g_hi[i] * v_bar[i]
@@ -197,21 +195,18 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     if len(z0) != n:
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
     funnels = [s.funnel for s in config.stages]
-    return _report(
+    phi_lo = [gain_range(s)[0] for s in config.stages]
+    rows = _certificate(
         bounds,
         [f.p for f in funnels],
         [f.q for f in funnels],
         [f.mu for f in funnels],
         [s.v_bar for s in config.stages],
-        [gain_range(s)[0] for s in config.stages],
-        z0,
+        phi_lo,
     )
 
-
-def _report(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo, z0: Sequence[float]) -> FeasibilityReport:
-    """Run the certificate on per-stage floats and assemble its report."""
     stages = []
-    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, q, mu, v_bar, phi_lo)):
+    for i, (fun, (varphi_i, rhs_i, margin_i)) in enumerate(zip(funnels, rows)):
         z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
@@ -219,10 +214,10 @@ def _report(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo, z0: Sequence[float]) ->
                 varphi=float(varphi_i),
                 rhs=rhs_i,
                 margin=float(margin_i),
-                r=float(_slew(varphi_i, p[i], q[i], mu[i], phi_lo[i])),
-                p=p[i],
+                r=float(_slew(varphi_i, fun.p, fun.q, fun.mu, phi_lo[i])),
+                p=fun.p,
                 z0=z0_i,
-                trivial_margin=p[i] - abs(z0_i),
+                trivial_margin=fun.p - abs(z0_i),
             )
         )
     return FeasibilityReport(stages=tuple(stages), feasible=all(s.feasible for s in stages))
@@ -274,16 +269,6 @@ class RegionTemplate:
             funnel=FunnelParams(p=p, q=self.q[i], mu=self.mu[i]),
         )
 
-    # Every cell shares the stage laws, which ignore the envelope start.
-    @cached_property
-    def _stage1_law(self) -> StageControllerParams:
-        return self.stage(0, self.q[0])
-
-    @cached_property
-    def _phi_lo(self) -> tuple[float, float]:
-        """Most negative gain of each stage law."""
-        return (gain_range(self._stage1_law)[0], gain_range(self.stage(1, self.q[1]))[0])
-
 
 @dataclass(frozen=True)
 class PointFeasibility:
@@ -312,16 +297,15 @@ def _stage1_start(template: RegionTemplate, x: float, law: StageControllerParams
 
 def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
     """Per-point certificate: derive p_1, p_2 from the state, then run the
-    full recursion as check_feasibility does.  Does per cell the arithmetic
+    full recursion through check_feasibility.  Does per cell the arithmetic
     feasible_region does per grid, so the two agree bit for bit."""
     x = float(x)
     y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"start state must be finite, got ({x}, {y})")
-    z1, p1, u1 = _stage1_start(template, x, template._stage1_law)
+    z1, p1, u1 = _stage1_start(template, x, template.stage(0, template.q[0]))
     z2 = y - u1
     p2 = abs(z2) + template.deltas[1]
-    report = _report(template.bounds, (p1, p2), template.q, template.mu, template.v_bar, template._phi_lo, (z1, z2))
+    config = CascadeConfig(n=2, stages=(template.stage(0, p1), template.stage(1, p2)))
+    report = check_feasibility(config, template.bounds, (z1, z2))
     return PointFeasibility(x=x, y=y, p=(p1, p2), z0=(z1, z2), report=report)
 
 
@@ -365,7 +349,8 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
 
-    law = template._stage1_law
+    law = template.stage(0, template.q[0])
+    phi_lo = (gain_range(law)[0],)
     _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
     margin1 = np.empty((y.size, x.size))
     margin2 = np.empty_like(margin1)
@@ -376,7 +361,7 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         np.abs(p2, out=p2)
         p2 += template.deltas[1]
         (_, _, m1), (_, _, m2) = _certificate(
-            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, template._phi_lo
+            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, phi_lo
         )
         margin1[tile] = m1
         margin2[tile] = m2

@@ -136,12 +136,6 @@ class TestSimulate:
 
 
 class TestRegion:
-    def test_region_csv_bytes_are_pinned(self, ex1_config_path, tmp_path):
-        out = tmp_path / "regout"
-        assert main(["region", str(ex1_config_path), "--out", str(out), "--grid", "41x41"]) == 0
-        digest = hashlib.sha256((out / "region.csv").read_bytes()).hexdigest()
-        assert digest == "e0e249164560d219f6c712b74b5c76b516d7e355f17691d991c2df7d302635a7"
-
     def test_bundled_pendulum_region(self, ex1_config_path, tmp_path, capsys):
         out = tmp_path / "regout"
         assert main(["region", str(ex1_config_path), "--out", str(out), "--grid", "41x41"]) == 0
@@ -150,6 +144,8 @@ class TestRegion:
         assert "probe (-0.5, 1): FEASIBLE" in stdout
         lines = (out / "region.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 41 * 41
+        digest = hashlib.sha256((out / "region.csv").read_bytes()).hexdigest()
+        assert digest == "e0e249164560d219f6c712b74b5c76b516d7e355f17691d991c2df7d302635a7"
 
     def test_second_example_reports_both_probes(self, ex2_config_path, tmp_path, capsys):
         out = tmp_path / "regout"
