@@ -24,7 +24,6 @@ from .plant import (
     ReferenceSpec,
     DynamicsError,
     eval_dynamics,
-    builtin_system,
     pendulum_system,
     sine_chain_system,
     sine_reference,
@@ -57,7 +56,16 @@ from .simulator import (
     write_events_csv,
     write_monitor_csv,
 )
-from .config import ConfigError, RegionSpec, ResolvedConfig, load_config, resolve_config, load_scenario, dump_defaults
+from .config import (
+    ConfigError,
+    RegionSpec,
+    ResolvedConfig,
+    load_config,
+    resolve_config,
+    load_scenario,
+    dump_defaults,
+    builtin_system,
+)
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, dump_defaults, load_scenario
+from .config import _CONFIG_FILES, ConfigError, dump_defaults, load_scenario
 from .controller import cascade
 from .feasibility import check_feasibility, check_point, feasible_region, region_to_csv
-from .plant import DynamicsError
+from .plant import DynamicsError, spot_check_bounds
 from .simulator import TrivialConditionError, monitor, simulate, write_events_csv, write_monitor_csv, write_trajectory_csv
 
 _EXIT_OK = 0
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument(
         "--system",
         default="pendulum_ex1",
-        choices=("pendulum_ex1", "nonlinear_ex2"),
+        choices=tuple(_CONFIG_FILES),
         help="which bundled config to print",
     )
     p_dump.add_argument("--out", default=None, metavar="FILE", help="write to a file instead of stdout")
@@ -63,7 +63,30 @@ def _cmd_check(args) -> int:
     z0 = cascade(sc.x0, 0.0, sc.controller, sc.reference).z
     report = check_feasibility(sc.controller, sc.bounds, z0)
     print(report)
-    return _EXIT_OK if report.feasible else _EXIT_FAIL
+    # Sample the certificate's own state box |xi_i| <= p_i + v_bar_{i-1}
+    # (v_bar_0 = v0_bar).  A violation disproves a premise of the verdict;
+    # a clean sample proves nothing.
+    caps = (sc.bounds.v0_bar,) + tuple(s.v_bar for s in sc.controller.stages)
+    box = [(-(s.funnel.p + cap), s.funnel.p + cap) for s, cap in zip(sc.controller.stages, caps)]
+    spot = spot_check_bounds(sc.system, sc.bounds, box)
+    print(_constants_line(spot, box))
+    return _EXIT_OK if report.feasible and spot.clean else _EXIT_FAIL
+
+
+def _constants_line(spot, box) -> str:
+    where = f"{spot.samples} samples of |xi| <= ({', '.join(f'{hi:g}' for _, hi in box)})"
+    broken = []
+    for s in spot.stages:
+        for name, count, margin, worst in (
+            ("k", s.f_violations, s.f_margin, s.f_worst),
+            ("g_lo/g_hi", s.g_violations, s.g_margin, s.g_worst),
+        ):
+            if count:
+                point = ", ".join(f"{x:.6g}" for x in worst)
+                broken.append(f"stage {s.stage} {name} fails {count} times, worst margin {margin:.3g} at ({point})")
+    if not broken:
+        return f"constants: k, g_lo/g_hi hold in all {where}"
+    return f"constants: VIOLATED in {where}: " + "; ".join(broken)
 
 
 def _cmd_simulate(args) -> int:

@@ -1,11 +1,14 @@
 """JSON scenario configurations: strict schema validation and object assembly.
 
 A config has sections ``system``, ``reference``, ``controller``, ``bounds``,
-``sim``, and optionally ``region``.  ``system`` is either the string
-``builtin:<name>`` or a parameter block for one of the built-in parametric
-families; with a built-in, the other sections default from that example and
-may be omitted.  Unknown keys are rejected everywhere.  Parse errors carry
-file:line:column anchors; schema errors carry JSON-path anchors.
+``sim``, and optionally ``region``.  ``system`` is either a parameter block
+for one of the parametric families or the string ``builtin:<name>``, which
+names a bundled config (``configs/*.json``, the only copy of the paper's two
+examples): its system block is used, and each other section the config
+omits, except ``region``, is taken from it.  An omitted ``sim.substeps`` is
+sized from the loop's stiffness ratio (see ``_stable_substeps``).  Unknown
+keys are rejected everywhere.  Parse errors carry file:line:column anchors;
+schema errors carry JSON-path anchors.
 """
 
 from __future__ import annotations
@@ -14,23 +17,14 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams, clamp_theta, stage_control
+from .controller import CascadeConfig, StageControllerParams, clamp_theta, gain_range, stage_control
 from .feasibility import BoundsSpec, RegionTemplate
 from .funnel import FunnelParams, funnel_value
-from .plant import (
-    BUILTIN_NAMES,
-    ReferenceSpec,
-    SystemSpec,
-    builtin_system,
-    pendulum_system,
-    sine_chain_system,
-    sine_signal,
-    sine_reference,
-    zero_signal,
-)
+from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
 from .simulator import Scenario
 
 __all__ = [
@@ -41,13 +35,21 @@ __all__ = [
     "resolve_config",
     "load_scenario",
     "dump_defaults",
+    "BuiltinExample",
+    "builtin_system",
     "DEFAULT_GRID",
 ]
 
 DEFAULT_GRID = (201, 201)
 DEFAULT_STEP = 1e-3
 
+# The built-in examples by name: the bundled config each one is read from.
 _CONFIG_FILES = {"pendulum_ex1": "ex1_pendulum.json", "nonlinear_ex2": "ex2_nonlinear.json"}
+
+# Classic RK4 is stable on the negative real axis up to |gain * h| of about
+# 2.785; omitted substeps are sized to keep the stiffness ratio below this,
+# with some room to spare.
+_RK4_RATIO_LIMIT = 2.5
 
 
 class ConfigError(ValueError):
@@ -110,8 +112,8 @@ def validate_config(cfg: dict) -> None:
     system = cfg["system"]
     is_builtin = isinstance(system, str)
     if is_builtin:
-        if not system.startswith("builtin:") or system[len("builtin:"):] not in BUILTIN_NAMES:
-            _fail("$.system", f"expected 'builtin:<name>' with name in {BUILTIN_NAMES}, got {system!r}")
+        if not system.startswith("builtin:") or system[len("builtin:"):] not in _CONFIG_FILES:
+            _fail("$.system", f"expected 'builtin:<name>' with name in {tuple(_CONFIG_FILES)}, got {system!r}")
     else:
         _validate_family(system)
 
@@ -251,81 +253,61 @@ class ResolvedConfig:
     region: RegionSpec | None
 
 
-def _build_disturbances(section) -> tuple:
-    pairs = section.get("disturbance")
-    if pairs is None:
-        return (zero_signal, zero_signal)
-    return tuple(sine_signal(p[0], p[1]) for p in pairs)
+_FAMILIES = {"pendulum": (pendulum_system, "gravity"), "sine_chain": (sine_chain_system, "gains")}
 
 
 def _build_system(section) -> SystemSpec:
-    d = _build_disturbances(section)
-    if section["family"] == "pendulum":
-        return pendulum_system(
-            m=section.get("m", 0.01),
-            l=section.get("l", 1.0),
-            k=section.get("k", 0.01),
-            gravity=section.get("g", 9.8),
-            d=d,
-        )
-    a = section.get("a", [0.5, 1.0])
-    gains = section.get("g", [5.0, 7.0])
-    return sine_chain_system(a=(a[0], a[1]), b2=section.get("b2", 1.0), gains=(gains[0], gains[1]), d=d)
+    """Call the family's factory with the keys the block gives, so omitted
+    parameters take the factory's defaults; ``g`` names its gravity or gains."""
+    factory, g_name = _FAMILIES[section["family"]]
+    kwargs = {g_name if key == "g" else key: val for key, val in section.items() if key not in ("family", "disturbance")}
+    if "disturbance" in section:
+        kwargs["d"] = tuple(sine_signal(amp, freq) for amp, freq in section["disturbance"])
+    return factory(**kwargs)
+
+
+def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float) -> int:
+    """Smallest m >= 1 with max_i g_hi_i * |phi_lo_i| / q_i * step / m <= _RK4_RATIO_LIMIT.
+
+    g_hi_i * |phi_lo_i| / q_i is the largest local error-feedback gain of
+    stage i near its settled envelope (see the simulator module notes).
+    """
+    ratio = step * max(g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages))
+    return max(1, math.ceil(ratio / _RK4_RATIO_LIMIT))
 
 
 def resolve_config(cfg: dict) -> ResolvedConfig:
     """Assemble the validated config into a Scenario plus optional RegionSpec.
 
-    Start-offset funnels (``delta``) are resolved stage by stage from the
-    initial state: p_i = |z_i(0)| + delta_i, where z_i(0) chains through the
-    stage outputs of the already-resolved stages.
+    A ``builtin:<name>`` system is replaced by the bundled config's system
+    block, and the bundled sections other than ``region`` fill in the ones
+    the config omits.  Start-offset funnels (``delta``) are resolved stage by
+    stage from the initial state: p_i = |z_i(0)| + delta_i, where z_i(0)
+    chains through the stage outputs of the already-resolved stages.
     """
     validate_config(cfg)
-
-    builtin = None
     if isinstance(cfg["system"], str):
-        builtin = builtin_system(cfg["system"][len("builtin:"):])
-        system = builtin.system
-    else:
-        system = _build_system(cfg["system"])
+        bundled = json.loads(dump_defaults(cfg["system"][len("builtin:"):]))
+        del bundled["region"]
+        cfg = {**bundled, **cfg, "system": bundled["system"]}
 
-    if "reference" in cfg:
-        reference = sine_reference(cfg["reference"]["amp"], cfg["reference"]["freq"])
-    else:
-        reference = builtin.reference
-
-    if "sim" in cfg:
-        sim = cfg["sim"]
-        x0 = tuple(float(v) for v in sim["x0"])
-        horizon = float(sim["horizon"])
-        step = float(sim.get("step", DEFAULT_STEP))
-        substeps = sim.get("substeps", 1)
-    else:
-        x0 = builtin.scenario.x0
-        horizon = builtin.scenario.horizon
-        step = builtin.scenario.step
-        substeps = builtin.scenario.substeps
+    system = _build_system(cfg["system"])
+    reference = sine_reference(cfg["reference"]["amp"], cfg["reference"]["freq"])
+    sim = cfg["sim"]
+    x0 = tuple(float(v) for v in sim["x0"])
     if len(x0) != system.n:
         _fail("$.sim.x0", f"expected {system.n} entries, got {len(x0)}")
+    controller = _resolve_controller(cfg["controller"], system.n, x0, reference)
 
-    if "controller" in cfg:
-        controller = _resolve_controller(cfg["controller"], system.n, x0, reference)
-    else:
-        controller = builtin.scenario.controller
+    b = cfg["bounds"]
+    if len(b["k"]) != system.n:
+        _fail("$.bounds", f"expected {system.n} entries per list, got {len(b['k'])}")
+    try:
+        bounds = BoundsSpec(k=b["k"], g_lo=b["g_lo"], g_hi=b["g_hi"], d_bar=b["d_bar"], v0_bar=b["v0_bar"], r0=b["r0"])
+    except ValueError as e:
+        _fail("$.bounds", str(e))
 
-    if "bounds" in cfg:
-        b = cfg["bounds"]
-        if len(b["k"]) != system.n:
-            _fail("$.bounds", f"expected {system.n} entries per list, got {len(b['k'])}")
-        try:
-            bounds = BoundsSpec(
-                k=b["k"], g_lo=b["g_lo"], g_hi=b["g_hi"], d_bar=b["d_bar"], v0_bar=b["v0_bar"], r0=b["r0"]
-            )
-        except ValueError as e:
-            _fail("$.bounds", str(e))
-    else:
-        bounds = builtin.scenario.bounds
-
+    step = float(sim.get("step", DEFAULT_STEP))
     try:
         scenario = Scenario(
             system=system,
@@ -333,9 +315,9 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
             controller=controller,
             bounds=bounds,
             x0=x0,
-            horizon=horizon,
+            horizon=float(sim["horizon"]),
             step=step,
-            substeps=substeps,
+            substeps=sim["substeps"] if "substeps" in sim else _stable_substeps(controller, bounds, step),
         )
     except ValueError as e:
         _fail("$.sim", str(e))
@@ -400,6 +382,22 @@ def _resolve_region(section, scenario: Scenario) -> RegionSpec:
 def load_scenario(path) -> ResolvedConfig:
     """Convenience: load_config followed by resolve_config."""
     return resolve_config(load_config(path))
+
+
+class BuiltinExample(NamedTuple):
+    system: SystemSpec
+    reference: ReferenceSpec
+    scenario: Scenario
+
+
+def builtin_system(name: str) -> BuiltinExample:
+    """Load a built-in example from its bundled config.
+
+    ``pendulum_ex1`` is the paper's pendulum and ``nonlinear_ex2`` its
+    sine-drift chain; ``dump_defaults(name)`` prints the constants.
+    """
+    scenario = resolve_config(json.loads(dump_defaults(name))).scenario
+    return BuiltinExample(system=scenario.system, reference=scenario.reference, scenario=scenario)
 
 
 def dump_defaults(name: str = "pendulum_ex1") -> str:

@@ -1,4 +1,5 @@
-"""Cascaded (pure-feedback) plant models, references, and the two built-in examples.
+"""Cascaded (pure-feedback) plant models, references, the two parametric
+families, and spot checks of declared constants.
 
 A plant of order n is described by per-stage scalar oracles:
 
@@ -7,18 +8,18 @@ A plant of order n is described by per-stage scalar oracles:
 
 with f_i vanishing at the origin and g_i positive on the operating domain.
 Oracles are plain callables, so user systems plug in without subclassing.
+The paper's two examples are the bundled configs (``configs/*.json``), which
+set the parameters of the pendulum and sine-chain families below;
+``config.builtin_system`` loads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .simulator import Scenario
 
 __all__ = [
     "SystemSpec",
@@ -30,9 +31,6 @@ __all__ = [
     "sine_reference",
     "pendulum_system",
     "sine_chain_system",
-    "BUILTIN_NAMES",
-    "BuiltinExample",
-    "builtin_system",
     "SpotCheckStage",
     "SpotCheckReport",
     "spot_check_bounds",
@@ -131,7 +129,7 @@ def pendulum_system(
     l: float = 1.0,
     k: float = 0.01,
     gravity: float = 9.8,
-    d: tuple[TimeSignal, TimeSignal] | None = None,
+    d: tuple[TimeSignal, TimeSignal] = (zero_signal, zero_signal),
 ) -> SystemSpec:
     """Torque-driven pendulum with viscous friction and a velocity-dependent load.
 
@@ -144,8 +142,6 @@ def pendulum_system(
     a_g = gravity / l
     a_k = k / m
     gain = 1.0 / (m * l * l)
-    if d is None:
-        d = (zero_signal, zero_signal)
     return SystemSpec(
         n=2,
         f=(lambda xs: 0.0, lambda xs: -a_g * math.sin(xs[0]) - a_k * xs[1] + math.sin(xs[1])),
@@ -158,7 +154,7 @@ def sine_chain_system(
     a: tuple[float, float] = (0.5, 1.0),
     b2: float = 1.0,
     gains: tuple[float, float] = (5.0, 7.0),
-    d: tuple[TimeSignal, TimeSignal] | None = None,
+    d: tuple[TimeSignal, TimeSignal] = (zero_signal, zero_signal),
 ) -> SystemSpec:
     """Two-stage chain with sinusoidal drift and constant control coefficients.
 
@@ -168,95 +164,12 @@ def sine_chain_system(
     a1, a2 = float(a[0]), float(a[1])
     g1, g2 = float(gains[0]), float(gains[1])
     b2 = float(b2)
-    if d is None:
-        d = (zero_signal, zero_signal)
     return SystemSpec(
         n=2,
         f=(lambda xs: a1 * math.sin(xs[0]), lambda xs: a2 * math.sin(xs[0]) + b2 * xs[1]),
         g=(lambda xs: g1, lambda xs: g2),
         d=d,
     )
-
-
-BUILTIN_NAMES = ("pendulum_ex1", "nonlinear_ex2")
-
-
-class BuiltinExample(NamedTuple):
-    system: SystemSpec
-    reference: ReferenceSpec
-    scenario: Scenario
-
-
-def builtin_system(name: str) -> BuiltinExample:
-    """Return a fully parameterized built-in example by name.
-
-    ``pendulum_ex1``: the pendulum above with d_2 = 0.5*sin(t), reference
-    sin(0.5 t), start (-0.5, 1), stage bounds (4.5, 8).
-    ``nonlinear_ex2``: the sine chain with d = (0.2*sin t, 0.5*sin t),
-    reference 0.5*sin(t), start (0.5, -0.8), stage bounds (1, 16).
-
-    The returned scenario bundles the matching cascade, certification bounds,
-    start state, and a 20 s / 1 ms integration grid.
-    """
-    from .controller import CascadeConfig, StageControllerParams
-    from .feasibility import BoundsSpec
-    from .funnel import FunnelParams
-    from .simulator import Scenario
-
-    if name == "pendulum_ex1":
-        system = pendulum_system(d=(zero_signal, sine_signal(0.5, 1.0)))
-        reference = sine_reference(1.0, 0.5)
-        controller = CascadeConfig(
-            n=2,
-            stages=(
-                StageControllerParams(v_bar=4.5, funnel=FunnelParams(p=1.0, q=0.05, mu=0.9)),
-                StageControllerParams(v_bar=8.0, funnel=FunnelParams(p=1.4, q=0.05, mu=1.0)),
-            ),
-        )
-        bounds = BoundsSpec(
-            k=(0.0, 9.8 * math.sqrt(2.0)),
-            g_lo=(1.0, 100.0),
-            g_hi=(1.0, 100.0),
-            d_bar=(0.0, 0.5),
-            v0_bar=1.0,
-            r0=0.5,
-        )
-        x0 = (-0.5, 1.0)
-    elif name == "nonlinear_ex2":
-        system = sine_chain_system(d=(sine_signal(0.2, 1.0), sine_signal(0.5, 1.0)))
-        reference = sine_reference(0.5, 1.0)
-        controller = CascadeConfig(
-            n=2,
-            stages=(
-                StageControllerParams(v_bar=1.0, funnel=FunnelParams(p=1.0, q=0.08, mu=0.9)),
-                StageControllerParams(v_bar=16.0, funnel=FunnelParams(p=0.4, q=0.01, mu=0.5)),
-            ),
-        )
-        bounds = BoundsSpec(
-            k=(0.5, 1.0),
-            g_lo=(5.0, 7.0),
-            g_hi=(5.0, 7.0),
-            d_bar=(0.2, 0.5),
-            v0_bar=0.5,
-            r0=0.5,
-        )
-        x0 = (0.5, -0.8)
-    else:
-        raise ValueError(f"unknown built-in system {name!r}; known: {BUILTIN_NAMES}")
-
-    # substeps = 10 keeps explicit RK4 inside its stability region for these
-    # stiff examples (see the simulator module notes) while recording at 1 ms.
-    scenario = Scenario(
-        system=system,
-        reference=reference,
-        controller=controller,
-        bounds=bounds,
-        x0=x0,
-        horizon=20.0,
-        step=1e-3,
-        substeps=10,
-    )
-    return BuiltinExample(system=system, reference=reference, scenario=scenario)
 
 
 @dataclass(frozen=True)

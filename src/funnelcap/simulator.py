@@ -11,7 +11,9 @@ example), while explicit RK4 is only stable for |gain * h| below about 2.79.
 Scenarios therefore carry ``substeps``: each recorded step of size ``step``
 is integrated as that many equal RK4 sub-steps, so recording grids stay
 comparable across runs while the integration step stays inside the stability
-region.  The built-in examples use substeps = 10.
+region.  The bundled example configs give substeps = 10; a config that
+omits it gets the fewest sub-steps that keep step/substeps times the
+largest such gain at 2.5 or below (``config._stable_substeps``).
 """
 
 from __future__ import annotations

@@ -46,6 +46,16 @@ class TestCheck:
         assert "stage 1" in out and "stage 2" in out
         assert "margin=1.745" in out
         assert "verdict: FEASIBLE" in out
+        assert "constants: k, g_lo/g_hi hold in all 2000 samples of |xi| <= (2, 5.9)" in out
+
+    def test_violated_constant_exits_one(self, ex2_config_path, capsys):
+        # The certificate holds on paper, but the declared k_2 = 1 fails on
+        # the certificate's own state box, so the verdict has no footing.
+        assert main(["check", str(ex2_config_path)]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: FEASIBLE" in out
+        assert "constants: VIOLATED in 2000 samples of |xi| <= (1.5, 1.4): stage 2 k fails" in out
+        assert "stage 1" not in out.split("constants:")[1]
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
@@ -76,7 +86,7 @@ class TestCheck:
 class TestSimulate:
     def test_writes_all_artifacts(self, ex1_config_path, tmp_path, capsys):
         out = tmp_path / "runout"
-        code = main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "0.2"])
+        code = main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "0.5"])
         assert code == 0
         assert (out / "trajectory.csv").exists()
         assert (out / "events.csv").exists()
@@ -90,6 +100,14 @@ class TestSimulate:
         z1 = data[:, cols.index("z_1")]
         psi1 = data[:, cols.index("psi_1")]
         assert np.all(np.abs(z1) < psi1)
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == "af23789943f71ad26aa27f92c90aefb6130201fc3961efedaf98095c72a8e035"
+
+    def test_second_example_trajectory_bytes_are_pinned(self, ex2_config_path, tmp_path):
+        out = tmp_path / "runout"
+        assert main(["simulate", str(ex2_config_path), "--out", str(out), "--horizon", "0.5"]) == 0
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == "f25e9781015b52be64e42bb71bd2f6713fcbe15229475904f08b546fbd96a03b"
 
     def test_step_and_horizon_overrides(self, ex1_config_path, tmp_path):
         out = tmp_path / "runout"
@@ -120,10 +138,10 @@ class TestSimulate:
 
 
     def test_monitor_violations_exit_one_unless_permissive(self, tmp_path, capsys):
-        # Without sim.substeps one RK4 step per millisecond is unstable near
-        # the settled envelope; the monitor sees it before 2.5 s.
+        # One RK4 step per millisecond is unstable near the settled
+        # envelope; the monitor sees it before 2.5 s.
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
-        del cfg["sim"]["substeps"]
+        cfg["sim"]["substeps"] = 1
         cfg["sim"]["horizon"] = 2.5
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "runout"
@@ -153,6 +171,8 @@ class TestRegion:
         stdout = capsys.readouterr().out
         assert "probe (0.5, -0.8): FEASIBLE" in stdout
         assert "probe (0.2, -0.8): INFEASIBLE" in stdout
+        digest = hashlib.sha256((out / "region.csv").read_bytes()).hexdigest()
+        assert digest == "2a8dd6b9d63fac7305792e60b0dca359b04e09e2e4910291011c698f06c5fdd1"
 
     def test_missing_region_section_exits_two(self, tmp_path):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))

@@ -235,9 +235,41 @@ class TestRegionResolution:
         del cfg["region"]
         assert resolve_config(cfg).region is None
 
-    def test_builtin_defaults_without_sections(self):
-        resolved = resolve_config({"system": "builtin:pendulum_ex1"})
-        assert resolved.scenario.substeps == 10
-        assert resolved.scenario.horizon == 20.0
-        assert resolved.scenario.x0 == (-0.5, 1.0)
+    @pytest.mark.parametrize("name", ["pendulum_ex1", "nonlinear_ex2"])
+    def test_builtin_defaults_without_sections(self, name):
+        resolved = resolve_config({"system": f"builtin:{name}"})
+        sc = resolved.scenario
+        ref = resolve_config(json.loads(fc.dump_defaults(name))).scenario
+        assert sc.controller == ref.controller
+        assert sc.bounds == ref.bounds
+        assert sc.x0 == ref.x0
+        assert (sc.horizon, sc.step, sc.substeps) == (ref.horizon, ref.step, ref.substeps)
+        for t in (0.0, 1.3, 7.7):
+            assert sc.reference.y_d(t) == ref.reference.y_d(t)
+            assert [d(t) for d in sc.system.d] == [d(t) for d in ref.system.d]
+        for xs in ((0.3, -0.4), (1.0, 1.0), (-1.7, 2.2)):
+            for i in range(2):
+                assert sc.system.f[i](xs[: i + 1]) == ref.system.f[i](xs[: i + 1])
+                assert sc.system.g[i](xs[: i + 1]) == ref.system.g[i](xs[: i + 1])
         assert resolved.region is None
+
+    def test_builtin_offsets_resolve_from_bundled_start(self):
+        stages = ex2_cfg()["controller"]["stages"]
+        for stage, delta in zip(stages, (0.5, 0.1)):
+            del stage["funnel"]["p"]
+            stage["funnel"]["delta"] = delta
+        sc = resolve_config({"system": "builtin:nonlinear_ex2", "controller": {"stages": stages}}).scenario
+        assert sc.x0 == (0.5, -0.8)
+        z0 = fc.cascade(sc.x0, 0.0, sc.controller, sc.reference).z
+        assert sc.controller.stages[0].funnel.p == abs(0.5 - sc.reference.y_d(0.0)) + 0.5
+        assert sc.controller.stages[1].funnel.p == abs(z0[1]) + 0.1
+
+    def test_omitted_substeps_sized_from_stiffness(self):
+        # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for
+        # the pendulum, 7*16/0.01*1e-3 = 11.2 for the chain; each needs
+        # ratio/m <= 2.5.
+        for cfg, expected in ((ex1_cfg(), 7), (ex2_cfg(), 5)):
+            del cfg["sim"]["substeps"]
+            assert resolve_config(cfg).scenario.substeps == expected
+            cfg["sim"]["substeps"] = 2
+            assert resolve_config(cfg).scenario.substeps == 2
