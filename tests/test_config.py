@@ -235,8 +235,12 @@ class TestRegionResolution:
         del cfg["region"]
         assert resolve_config(cfg).region is None
 
-    @pytest.mark.parametrize("name", ["pendulum_ex1", "nonlinear_ex2"])
-    def test_builtin_defaults_without_sections(self, name):
+    def test_builtin_defaults_without_sections(self):
+        for name in ("pendulum_ex1", "nonlinear_ex2"):
+            self._check_builtin_defaults(name)
+
+    @staticmethod
+    def _check_builtin_defaults(name):
         resolved = resolve_config({"system": f"builtin:{name}"})
         sc = resolved.scenario
         ref = resolve_config(json.loads(fc.dump_defaults(name))).scenario
