@@ -5,122 +5,27 @@ analytical per-stage feasibility margins, computes feasible initial-state
 regions, and simulates the closed loop while monitoring every guaranteed
 bound.  The controller needs no model of the plant drift: each stage is a
 static saturating map of its normalized tracking error.
+
+Each module's ``__all__`` is the only list of its public names; the package
+exports their union.
 """
 
-from .funnel import FunnelParams, funnel_value, funnel_rate, funnel_rate_bounds
-from .controller import (
-    THETA_EPS,
-    StageControllerParams,
-    CascadeConfig,
-    CascadeDecision,
-    clamp_theta,
-    stage_control,
-    stage_gain,
-    gain_range,
-    cascade,
-)
-from .plant import (
-    SystemSpec,
-    ReferenceSpec,
-    DynamicsError,
-    eval_dynamics,
-    pendulum_system,
-    sine_chain_system,
-    sine_reference,
-    sine_signal,
-    zero_signal,
-    spot_check_bounds,
-)
-from .feasibility import (
-    BoundsSpec,
-    StageFeasibility,
-    FeasibilityReport,
-    check_feasibility,
-    RegionTemplate,
-    RegionResult,
-    PointFeasibility,
-    check_point,
-    feasible_region,
-    region_to_csv,
-)
-from .simulator import (
-    Scenario,
-    Event,
-    Trajectory,
-    TrivialConditionError,
-    simulate,
-    BoundFamilyReport,
-    MonitorReport,
-    monitor,
-    write_trajectory_csv,
-    write_events_csv,
-    write_monitor_csv,
-)
-from .config import (
-    ConfigError,
-    RegionSpec,
-    ResolvedConfig,
-    load_config,
-    resolve_config,
-    load_scenario,
-    dump_defaults,
-    builtin_system,
-)
+from .funnel import *
+from .controller import *
+from .plant import *
+from .feasibility import *
+from .simulator import *
+from .config import *
+from . import config, controller, feasibility, funnel, plant, simulator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FunnelParams",
-    "funnel_value",
-    "funnel_rate",
-    "funnel_rate_bounds",
-    "THETA_EPS",
-    "StageControllerParams",
-    "CascadeConfig",
-    "CascadeDecision",
-    "clamp_theta",
-    "stage_control",
-    "stage_gain",
-    "gain_range",
-    "cascade",
-    "SystemSpec",
-    "ReferenceSpec",
-    "DynamicsError",
-    "eval_dynamics",
-    "builtin_system",
-    "pendulum_system",
-    "sine_chain_system",
-    "sine_reference",
-    "sine_signal",
-    "zero_signal",
-    "spot_check_bounds",
-    "BoundsSpec",
-    "StageFeasibility",
-    "FeasibilityReport",
-    "check_feasibility",
-    "RegionTemplate",
-    "RegionResult",
-    "PointFeasibility",
-    "check_point",
-    "feasible_region",
-    "region_to_csv",
-    "Scenario",
-    "Event",
-    "Trajectory",
-    "TrivialConditionError",
-    "simulate",
-    "BoundFamilyReport",
-    "MonitorReport",
-    "monitor",
-    "write_trajectory_csv",
-    "write_events_csv",
-    "write_monitor_csv",
-    "ConfigError",
-    "RegionSpec",
-    "ResolvedConfig",
-    "load_config",
-    "resolve_config",
-    "load_scenario",
-    "dump_defaults",
+    *funnel.__all__,
+    *controller.__all__,
+    *plant.__all__,
+    *feasibility.__all__,
+    *simulator.__all__,
+    *config.__all__,
     "__version__",
 ]

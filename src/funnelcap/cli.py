@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     resolved = load_scenario(args.config)
     sc = resolved.scenario
-    if sc.bounds is None:
-        raise ConfigError("at $.bounds: required for feasibility checks")
     z0 = cascade(sc.x0, 0.0, sc.controller, sc.reference).z
     report = check_feasibility(sc.controller, sc.bounds, z0)
     print(report)
@@ -100,20 +98,13 @@ def _cmd_simulate(args) -> int:
         return _EXIT_FAIL
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    events = list(traj.events)
-    violations = 0
-    if sc.bounds is not None:
-        report = monitor(traj, sc.controller, sc.bounds)
-        events.extend(report.events)
-        write_monitor_csv(report, out / "monitor.csv")
-        print(report)
-        violations = report.total_violations
-    else:
-        print("no bounds section: monitor skipped")
-    write_events_csv(events, out / "events.csv")
-    print(f"wrote {out / 'trajectory.csv'}, {out / 'events.csv'}" + (f", {out / 'monitor.csv'}" if sc.bounds else ""))
+    report = monitor(traj, sc.controller, sc.bounds)
+    write_monitor_csv(report, out / "monitor.csv")
+    print(report)
+    write_events_csv(traj.events + report.events, out / "events.csv")
+    print(f"wrote {out / 'trajectory.csv'}, {out / 'events.csv'}, {out / 'monitor.csv'}")
     # A permissive run was asked to go on past broken bounds; any other run fails on them.
-    return _EXIT_FAIL if violations and not args.permissive else _EXIT_OK
+    return _EXIT_FAIL if report.total_violations and not args.permissive else _EXIT_OK
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -35,9 +35,7 @@ __all__ = [
     "resolve_config",
     "load_scenario",
     "dump_defaults",
-    "BuiltinExample",
     "builtin_system",
-    "DEFAULT_GRID",
 ]
 
 DEFAULT_GRID = (201, 201)

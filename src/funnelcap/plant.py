@@ -31,8 +31,6 @@ __all__ = [
     "sine_reference",
     "pendulum_system",
     "sine_chain_system",
-    "SpotCheckStage",
-    "SpotCheckReport",
     "spot_check_bounds",
 ]
 

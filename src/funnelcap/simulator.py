@@ -90,6 +90,11 @@ class Scenario:
             kwargs["horizon"] = float(horizon)
         if step is not None:
             kwargs["step"] = float(step)
+            # A coarser step keeps the sub-step no longer than it was, so the
+            # stiffness ratio stays where the config put it; the count never
+            # shrinks.  The tolerance keeps an exact multiple from gaining one.
+            ratio = kwargs["step"] * self.substeps / self.step
+            kwargs["substeps"] = max(self.substeps, math.ceil(ratio * (1.0 - 1e-9)))
         return replace(self, **kwargs) if kwargs else self
 
 

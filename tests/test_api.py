@@ -1,4 +1,5 @@
 import funnelcap
+from funnelcap import config, controller, feasibility, funnel, plant, simulator
 
 
 def test_public_api_is_pinned():
@@ -58,3 +59,11 @@ def test_public_api_is_pinned():
         "write_trajectory_csv",
         "zero_signal",
     ]
+
+
+def test_package_api_is_the_union_of_module_lists():
+    # each public name is declared once, in its module's __all__
+    modules = (funnel, controller, plant, feasibility, simulator, config)
+    joined = [name for mod in modules for name in mod.__all__] + ["__version__"]
+    assert funnelcap.__all__ == joined
+    assert len(set(joined)) == len(joined)

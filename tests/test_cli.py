@@ -115,6 +115,13 @@ class TestSimulate:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 11  # header + samples at 0.01 over 0.1 s
 
+    def test_coarser_step_keeps_the_sub_step_length(self, ex1_config_path, tmp_path, capsys):
+        # 10 ms recorded steps get 100 sub-steps of 0.1 ms, as the config's
+        # 1 ms steps get 10; kept at 10 they would leave RK4's stable region.
+        out = tmp_path / "runout"
+        assert main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "3", "--step", "0.01"]) == 0
+        assert "total violations: 0" in capsys.readouterr().out
+
     def test_zero_horizon_writes_nothing(self, tmp_path, capsys):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
         cfg["sim"]["horizon"] = 0.0
