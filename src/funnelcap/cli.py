@@ -89,7 +89,10 @@ def _constants_line(spot, box) -> str:
 
 def _cmd_simulate(args) -> int:
     resolved = load_scenario(args.config)
-    sc = resolved.scenario.with_overrides(horizon=args.horizon, step=args.step)
+    try:
+        sc = resolved.scenario.with_overrides(horizon=args.horizon, step=args.step)
+    except ValueError as e:
+        raise ConfigError(f"--step/--horizon: {e}") from None
     out = Path(args.out)
     try:
         traj = simulate(sc, permissive=args.permissive)

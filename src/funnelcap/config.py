@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams, clamp_theta, gain_range, stage_control
-from .feasibility import BoundsSpec, RegionTemplate
-from .funnel import FunnelParams, funnel_value
+from .controller import CascadeConfig, StageControllerParams, gain_range
+from .feasibility import BoundsSpec, RegionTemplate, _start_output
+from .funnel import FunnelParams
 from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
 from .simulator import Scenario
 
@@ -91,14 +91,18 @@ def _number_list(val, where: str, length: int | None = None, positive: bool = Fa
     return [_number(v, f"{where}[{j}]", positive=positive, nonneg=nonneg) for j, v in enumerate(val)]
 
 
-def load_config(path) -> dict:
-    """Read and validate a config file; returns the raw (validated) mapping."""
+def _parse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+
+
+def load_config(path) -> dict:
+    """Read and validate a config file; returns the raw (validated) mapping."""
+    cfg = _parse_file(path)
     validate_config(cfg)
     return cfg
 
@@ -281,7 +285,8 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     block, and the bundled sections other than ``region`` fill in the ones
     the config omits.  Start-offset funnels (``delta``) are resolved stage by
     stage from the initial state: p_i = |z_i(0)| + delta_i, where z_i(0)
-    chains through the stage outputs of the already-resolved stages.
+    chains through the t = 0 outputs of the already-resolved stages, with
+    psi(0) = p as check_point and the region sweep have it.
     """
     validate_config(cfg)
     if isinstance(cfg["system"], str):
@@ -343,24 +348,13 @@ def _resolve_controller(section, n: int, x0, reference: ReferenceSpec) -> Cascad
         except ValueError as e:
             _fail(f"{where}.funnel", str(e))
         stages.append(stage)
-        theta, _ = clamp_theta(z0_j / funnel_value(funnel, 0.0))
-        prev = stage_control(theta, stage)
+        prev = _start_output(z0_j, funnel.p, stage)
     return CascadeConfig(n=n, stages=tuple(stages))
 
 
 def _resolve_region(section, scenario: Scenario) -> RegionSpec:
-    if scenario.system.n != 2:
-        _fail("$.region", f"region sweeps require a two-stage system, got order {scenario.system.n}")
     try:
-        template = RegionTemplate(
-            deltas=tuple(section["deltas"]),
-            q=tuple(s.funnel.q for s in scenario.controller.stages),
-            mu=tuple(s.funnel.mu for s in scenario.controller.stages),
-            v_bar=tuple(s.v_bar for s in scenario.controller.stages),
-            c=tuple(s.c for s in scenario.controller.stages),
-            bounds=scenario.bounds,
-            y_d0=scenario.reference.y_d(0.0),
-        )
+        template = RegionTemplate(scenario.controller, section["deltas"], scenario.bounds, scenario.reference.y_d(0.0))
     except ValueError as e:
         _fail("$.region", str(e))
     nx, ny = section.get("grid", DEFAULT_GRID)
@@ -378,8 +372,8 @@ def _resolve_region(section, scenario: Scenario) -> RegionSpec:
 
 
 def load_scenario(path) -> ResolvedConfig:
-    """Convenience: load_config followed by resolve_config."""
-    return resolve_config(load_config(path))
+    """Read a config file and resolve it; resolve_config validates it once."""
+    return resolve_config(_parse_file(path))
 
 
 class BuiltinExample(NamedTuple):

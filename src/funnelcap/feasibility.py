@@ -102,6 +102,17 @@ def _slew(varphi, p, q, mu, phi_lo):
     return (varphi / q + mu * (p - q) / p) * abs(phi_lo)
 
 
+def _stage_constants(stages: Sequence[StageControllerParams]) -> tuple[list, list, list, list]:
+    """The certificate inputs other than the envelope starts: per-stage q, mu,
+    v_bar and phi_lo, the stage law's most negative gain."""
+    return (
+        [s.funnel.q for s in stages],
+        [s.funnel.mu for s in stages],
+        [s.v_bar for s in stages],
+        [gain_range(s)[0] for s in stages],
+    )
+
+
 def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
     """The certificate recursion: (varphi_i, rhs_i, margin_i) for each stage.
 
@@ -194,19 +205,10 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
         raise ValueError(f"bounds cover {bounds.n} stages, cascade has {n}")
     if len(z0) != n:
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
-    funnels = [s.funnel for s in config.stages]
-    phi_lo = [gain_range(s)[0] for s in config.stages]
-    rows = _certificate(
-        bounds,
-        [f.p for f in funnels],
-        [f.q for f in funnels],
-        [f.mu for f in funnels],
-        [s.v_bar for s in config.stages],
-        phi_lo,
-    )
-
+    p = [s.funnel.p for s in config.stages]
+    q, mu, v_bar, phi_lo = _stage_constants(config.stages)
     stages = []
-    for i, (fun, (varphi_i, rhs_i, margin_i)) in enumerate(zip(funnels, rows)):
+    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, q, mu, v_bar, phi_lo)):
         z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
@@ -214,10 +216,10 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
                 varphi=float(varphi_i),
                 rhs=rhs_i,
                 margin=float(margin_i),
-                r=float(_slew(varphi_i, fun.p, fun.q, fun.mu, phi_lo[i])),
-                p=fun.p,
+                r=float(_slew(varphi_i, p[i], q[i], mu[i], phi_lo[i])),
+                p=p[i],
                 z0=z0_i,
-                trivial_margin=fun.p - abs(z0_i),
+                trivial_margin=p[i] - abs(z0_i),
             )
         )
     return FeasibilityReport(stages=tuple(stages), feasible=all(s.feasible for s in stages))
@@ -227,47 +229,27 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
 class RegionTemplate:
     """Everything a two-stage certificate needs except the initial state.
 
-    The envelope start values are tied to the state by p_i = |z_i(0)| +
-    deltas[i], so the template carries only the prescribed offsets, the fixed
-    envelope tail parameters q and mu, the stage caps v_bar and shapes c, the
-    certification bounds, and the reference value at t = 0.
+    ``controller`` gives each stage's law and envelope tail (v_bar, c, q, mu);
+    its envelope starts are not read, since they are tied to the state by
+    p_i = |z_i(0)| + deltas[i].  ``bounds`` are the certification constants
+    and ``y_d0`` the reference value at t = 0.
     """
 
+    controller: CascadeConfig
     deltas: tuple[float, float]
-    q: tuple[float, float]
-    mu: tuple[float, float]
-    v_bar: tuple[float, float]
-    c: tuple[float, float]
     bounds: BoundsSpec
     y_d0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("deltas", "q", "mu", "v_bar", "c"):
-            val = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, val)
-            if len(val) != 2:
-                raise ValueError(f"{name} must have 2 entries (region sweeps are two-stage)")
+        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "y_d0", float(self.y_d0))
-        if self.bounds.n != 2:
-            raise ValueError("region template bounds must cover 2 stages")
-        if any(d <= 0.0 for d in self.deltas):
-            raise ValueError("envelope offsets deltas must be > 0")
-        if any(v <= 0.0 for v in self.q) or any(v <= 0.0 for v in self.mu):
-            raise ValueError("q and mu must be > 0")
-        # p_i = |z_i(0)| + deltas[i] must reach the steady-state bound q_i at
-        # every cell, including z_i(0) = 0, so the derived funnel stays valid.
-        if any(d < q for d, q in zip(self.deltas, self.q)):
-            raise ValueError("each envelope offset must be >= the matching steady-state bound q")
-        if any(v <= 0.0 for v in self.v_bar) or any(v <= 0.0 for v in self.c):
-            raise ValueError("v_bar and c must be > 0")
-
-    def stage(self, i: int, p: float) -> StageControllerParams:
-        """Stage i (0-based) with its envelope start set to ``p``."""
-        return StageControllerParams(
-            v_bar=self.v_bar[i],
-            c=self.c[i],
-            funnel=FunnelParams(p=p, q=self.q[i], mu=self.mu[i]),
-        )
+        if not self.controller.n == len(self.deltas) == self.bounds.n == 2:
+            raise ValueError("region sweeps are two-stage: controller, deltas and bounds must cover 2 stages")
+        # p_i = |z_i(0)| + deltas[i] must be finite and reach the steady-state
+        # bound q_i at every cell, including z_i(0) = 0, so the derived funnel
+        # stays valid; written so that a NaN offset fails too.
+        if not all(s.funnel.q <= d < math.inf for d, s in zip(self.deltas, self.controller.stages)):
+            raise ValueError("each envelope offset must be finite and >= the matching steady-state bound q")
 
 
 @dataclass(frozen=True)
@@ -285,14 +267,15 @@ class PointFeasibility:
         return self.report.feasible
 
 
-def _stage1_start(template: RegionTemplate, x: float, law: StageControllerParams) -> tuple[float, float, float]:
-    """z_1(0), p_1 and u_1(0) at start state x; ``law`` is stage 1 with any
-    envelope.  theta is clamped as in the closed loop, since z_1/p_1 rounds
-    to +/-1 at far cells."""
-    z1 = x - template.y_d0
-    p1 = abs(z1) + template.deltas[0]
-    theta, _ = clamp_theta(z1 / p1)
-    return z1, p1, stage_control(theta, law)
+def _start_output(z: float, p: float, law: StageControllerParams) -> float:
+    """Output at t = 0 of a stage with error z and envelope start psi(0) = p.
+
+    The one rule config offsets, check_point and the region sweep resolve
+    starts by; theta = z/p is clamped as in the closed loop, since it rounds
+    to +/-1 at far cells.
+    """
+    theta, _ = clamp_theta(z / p)
+    return stage_control(theta, law)
 
 
 def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
@@ -301,11 +284,16 @@ def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibilit
     feasible_region does per grid, so the two agree bit for bit."""
     x = float(x)
     y = float(y)
-    z1, p1, u1 = _stage1_start(template, x, template.stage(0, template.q[0]))
-    z2 = y - u1
+    s1, s2 = template.controller.stages
+    z1 = x - template.y_d0
+    p1 = abs(z1) + template.deltas[0]
+    z2 = y - _start_output(z1, p1, s1)
     p2 = abs(z2) + template.deltas[1]
-    config = CascadeConfig(n=2, stages=(template.stage(0, p1), template.stage(1, p2)))
-    report = check_feasibility(config, template.bounds, (z1, z2))
+    stages = tuple(
+        StageControllerParams(v_bar=s.v_bar, c=s.c, funnel=FunnelParams(p=p, q=s.funnel.q, mu=s.funnel.mu))
+        for s, p in ((s1, p1), (s2, p2))
+    )
+    report = check_feasibility(CascadeConfig(n=2, stages=stages), template.bounds, (z1, z2))
     return PointFeasibility(x=x, y=y, p=(p1, p2), z0=(z1, z2), report=report)
 
 
@@ -349,9 +337,11 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
 
-    law = template.stage(0, template.q[0])
-    phi_lo = (gain_range(law)[0],)
-    _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
+    stages = template.controller.stages
+    z1 = x - template.y_d0
+    p1 = np.abs(z1) + template.deltas[0]
+    u1 = np.array([_start_output(z, p, stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
+    consts = _stage_constants(stages)
     margin1 = np.empty((y.size, x.size))
     margin2 = np.empty_like(margin1)
     rows = max(1, _TILE_CELLS // x.size)
@@ -360,9 +350,7 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         p2 = y[tile, None] - u1
         np.abs(p2, out=p2)
         p2 += template.deltas[1]
-        (_, _, m1), (_, _, m2) = _certificate(
-            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, phi_lo
-        )
+        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), *consts)
         margin1[tile] = m1
         margin2[tile] = m2
     feasible = margin1 > 0.0

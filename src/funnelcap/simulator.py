@@ -93,8 +93,10 @@ class Scenario:
             # A coarser step keeps the sub-step no longer than it was, so the
             # stiffness ratio stays where the config put it; the count never
             # shrinks.  The tolerance keeps an exact multiple from gaining one.
+            # A non-finite step is left for __post_init__ to refuse.
             ratio = kwargs["step"] * self.substeps / self.step
-            kwargs["substeps"] = max(self.substeps, math.ceil(ratio * (1.0 - 1e-9)))
+            if math.isfinite(ratio):
+                kwargs["substeps"] = max(self.substeps, math.ceil(ratio * (1.0 - 1e-9)))
         return replace(self, **kwargs) if kwargs else self
 
 

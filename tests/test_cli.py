@@ -122,6 +122,13 @@ class TestSimulate:
         assert main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "3", "--step", "0.01"]) == 0
         assert "total violations: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--step", "0"], ["--step", "inf"], ["--horizon", "-1"], ["--horizon", "nan"]])
+    def test_invalid_override_is_a_config_error(self, ex1_config_path, tmp_path, capsys, flag):
+        out = tmp_path / "runout"
+        assert main(["simulate", str(ex1_config_path), "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_zero_horizon_writes_nothing(self, tmp_path, capsys):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
         cfg["sim"]["horizon"] = 0.0

@@ -1,10 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
 import funnelcap as fc
-from funnelcap import ConfigError
+from funnelcap import ConfigError, config
 from funnelcap.config import load_config, resolve_config, validate_config
 
 
@@ -207,10 +208,8 @@ class TestRegionResolution:
     def test_template_mirrors_controller(self, ex1_config_path):
         resolved = fc.load_scenario(ex1_config_path)
         tpl = resolved.region.template
-        stages = resolved.scenario.controller.stages
-        assert tpl.q == tuple(s.funnel.q for s in stages)
-        assert tpl.mu == tuple(s.funnel.mu for s in stages)
-        assert tpl.v_bar == tuple(s.v_bar for s in stages)
+        assert tpl.controller is resolved.scenario.controller
+        assert tpl.bounds is resolved.scenario.bounds
         assert tpl.deltas == (0.5, 0.1)
         assert tpl.y_d0 == 0.0
         assert resolved.region.x.size == 201 and resolved.region.y.size == 201
@@ -267,6 +266,31 @@ class TestRegionResolution:
         z0 = fc.cascade(sc.x0, 0.0, sc.controller, sc.reference).z
         assert sc.controller.stages[0].funnel.p == abs(0.5 - sc.reference.y_d(0.0)) + 0.5
         assert sc.controller.stages[1].funnel.p == abs(z0[1]) + 0.1
+
+    @pytest.mark.parametrize("cfg", [ex1_cfg(), ex2_cfg()], ids=["ex1", "ex2"])
+    def test_offsets_resolve_like_check_point(self, cfg):
+        # Config offsets and region cells share one t = 0 start rule, with
+        # psi(0) = p, so both give the same p and z(0) bit for bit.
+        template = resolve_config(cfg).region.template
+        for stage, delta in zip(cfg["controller"]["stages"], template.deltas):
+            del stage["funnel"]["p"]
+            stage["funnel"]["delta"] = delta
+        rng = random.Random(20231)
+        for _ in range(200):
+            cfg["sim"]["x0"] = [rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]
+            sc = resolve_config(cfg).scenario
+            s1, s2 = sc.controller.stages
+            pt = fc.check_point(template, *sc.x0)
+            assert (s1.funnel.p, s2.funnel.p) == pt.p
+            z1 = sc.x0[0] - sc.reference.y_d(0.0)
+            u1 = fc.stage_control(fc.clamp_theta(z1 / s1.funnel.p)[0], s1)
+            assert (z1, sc.x0[1] - u1) == pt.z0
+
+    def test_load_scenario_validates_once(self, ex1_config_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(config, "validate_config", lambda cfg: calls.append(cfg) or validate_config(cfg))
+        fc.load_scenario(ex1_config_path)
+        assert len(calls) == 1
 
     def test_omitted_substeps_sized_from_stiffness(self):
         # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for

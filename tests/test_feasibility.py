@@ -18,7 +18,7 @@ from funnelcap import (
     gain_range,
     region_to_csv,
 )
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage1_start
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage_constants, _start_output
 
 HALF_PI = math.pi / 2.0
 
@@ -44,13 +44,20 @@ def ex1_bounds():
     )
 
 
+def cascade_of(q, mu, v_bar, c=(HALF_PI, HALF_PI)):
+    """Two-stage cascade for a region template; its envelope starts p = q
+    are not read by the region layer."""
+    stages = tuple(
+        StageControllerParams(v_bar=v, c=ci, funnel=FunnelParams(p=qi, q=qi, mu=m))
+        for qi, m, v, ci in zip(q, mu, v_bar, c)
+    )
+    return CascadeConfig(n=len(stages), stages=stages)
+
+
 def ex1_template():
     return RegionTemplate(
+        controller=cascade_of(q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0)),
         deltas=(0.5, 0.1),
-        q=(0.05, 0.05),
-        mu=(0.9, 1.0),
-        v_bar=(4.5, 8.0),
-        c=(HALF_PI, HALF_PI),
         bounds=ex1_bounds(),
         y_d0=0.0,
     )
@@ -58,11 +65,8 @@ def ex1_template():
 
 def ex2_template():
     return RegionTemplate(
+        controller=cascade_of(q=(0.08, 0.01), mu=(0.9, 0.5), v_bar=(1.0, 16.0)),
         deltas=(0.5, 0.1),
-        q=(0.08, 0.01),
-        mu=(0.9, 0.5),
-        v_bar=(1.0, 16.0),
-        c=(HALF_PI, HALF_PI),
         bounds=BoundsSpec(k=(0.5, 1.0), g_lo=(5.0, 7.0), g_hi=(5.0, 7.0), d_bar=(0.2, 0.5), v0_bar=0.5, r0=0.5),
         y_d0=0.0,
     )
@@ -255,7 +259,7 @@ def test_sweep_matches_inline_recursion_for_random_templates(data):
     )
     deltas = [qi + e for qi, e in zip(q, extras)]
     y_d0 = data.draw(st.floats(-1.0, 1.0))
-    template = RegionTemplate(deltas=deltas, q=q, mu=mus, v_bar=vbs, c=cs, bounds=bounds, y_d0=y_d0)
+    template = RegionTemplate(controller=cascade_of(q, mus, vbs, cs), deltas=deltas, bounds=bounds, y_d0=y_d0)
     x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
     y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
 
@@ -382,24 +386,25 @@ class TestRegion:
             feasible_region(ex1_template(), np.array([]), np.array([0.0]))
 
     def test_template_validation(self):
+        ex1 = cascade_of(q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0))
         with pytest.raises(ValueError):
-            RegionTemplate(deltas=(0.0, 0.1), q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0), c=(HALF_PI, HALF_PI), bounds=ex1_bounds())
+            RegionTemplate(controller=ex1, deltas=(0.0, 0.1), bounds=ex1_bounds())
         with pytest.raises(ValueError):
             # offset below the steady-state bound would make some cells invalid
-            RegionTemplate(deltas=(0.01, 0.1), q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0), c=(HALF_PI, HALF_PI), bounds=ex1_bounds())
+            RegionTemplate(controller=ex1, deltas=(0.01, 0.1), bounds=ex1_bounds())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RegionTemplate(controller=ex1, deltas=(0.5, bad), bounds=ex1_bounds())
         short = BoundsSpec(k=(0.0,), g_lo=(1.0,), g_hi=(1.0,), d_bar=(0.0,), v0_bar=1.0, r0=0.5)
         with pytest.raises(ValueError):
-            RegionTemplate(deltas=(0.5, 0.1), q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0), c=(HALF_PI, HALF_PI), bounds=short)
+            RegionTemplate(controller=ex1, deltas=(0.5, 0.1), bounds=short)
 
     def test_large_second_stage_q_does_not_break_point_checks(self):
         # p_1 derived at a near-reference cell can be smaller than q_2; the
         # point check must still evaluate (stage objects are built per stage)
         template = RegionTemplate(
+            controller=cascade_of(q=(0.05, 0.9), mu=(0.9, 1.0), v_bar=(4.5, 8.0)),
             deltas=(0.5, 1.0),
-            q=(0.05, 0.9),
-            mu=(0.9, 1.0),
-            v_bar=(4.5, 8.0),
-            c=(HALF_PI, HALF_PI),
             bounds=ex1_bounds(),
         )
         pt = check_point(template, 0.1, 0.0)
@@ -419,12 +424,12 @@ class TestRegion:
     def test_tiled_sweep_matches_one_full_grid_certificate(self, template, nx, ny):
         x = np.linspace(-2.0, 2.0, nx)
         y = np.linspace(-2.5, 2.5, ny)
-        law = template.stage(0, template.q[0])
-        _, p1, u1 = map(np.array, zip(*(_stage1_start(template, xi, law) for xi in x.tolist())))
+        law = template.controller.stages[0]
+        p1 = np.array([abs(xi - template.y_d0) + template.deltas[0] for xi in x.tolist()])
+        u1 = np.array([_start_output(xi - template.y_d0, p, law) for xi, p in zip(x.tolist(), p1.tolist())])
         p2 = np.abs(y[:, None] - u1) + template.deltas[1]
-        (_, _, m1), (_, _, m2) = _certificate(
-            template.bounds, (p1, p2), template.q, template.mu, template.v_bar, (gain_range(law)[0],)
-        )
+        consts = _stage_constants(template.controller.stages)
+        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), *consts)
         res = feasible_region(template, x, y)
         assert res.margin_c1.shape == res.margin_c2.shape == res.feasible.shape == (ny, nx)
         assert np.array_equal(res.margin_c1, m1)
