@@ -1,14 +1,17 @@
-"""JSON scenario configurations: strict schema validation and object assembly.
+"""JSON scenario configurations, read, checked and assembled in one pass.
 
 A config has sections ``system``, ``reference``, ``controller``, ``bounds``,
 ``sim``, and optionally ``region``.  ``system`` is either a parameter block
 for one of the parametric families or the string ``builtin:<name>``, which
 names a bundled config (``configs/*.json``, the only copy of the paper's two
 examples): its system block is used, and each other section the config
-omits, except ``region``, is taken from it.  An omitted ``sim.substeps`` is
+omits, except ``region``, is taken from it.  That merge comes first; then
+``resolve_config`` reads each key once, checking its type, sign and, for
+per-stage lists, its length against the system order where it is read, and
+builds the objects from the values it read.  An omitted ``sim.substeps`` is
 sized from the loop's stiffness ratio (see ``_stable_substeps``).  Unknown
 keys are rejected everywhere.  Parse errors carry file:line:column anchors;
-schema errors carry JSON-path anchors.
+schema errors carry the JSON-path anchor of the key they were read from.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import NamedTuple
 
@@ -31,7 +35,6 @@ __all__ = [
     "ConfigError",
     "RegionSpec",
     "ResolvedConfig",
-    "load_config",
     "resolve_config",
     "load_scenario",
     "dump_defaults",
@@ -91,142 +94,41 @@ def _number_list(val, where: str, length: int | None = None, positive: bool = Fa
     return [_number(v, f"{where}[{j}]", positive=positive, nonneg=nonneg) for j, v in enumerate(val)]
 
 
-def _parse_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+def _is_count(val, least: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
-def load_config(path) -> dict:
-    """Read and validate a config file; returns the raw (validated) mapping."""
-    cfg = _parse_file(path)
-    validate_config(cfg)
-    return cfg
+def _disturbance(val, where: str) -> tuple:
+    # Both families are two-stage: one [amp, freq] pair per stage.
+    if not isinstance(val, list) or len(val) != 2:
+        _fail(where, "expected one [amp, freq] pair per stage")
+    return tuple(sine_signal(*_number_list(pair, f"{where}[{j}]", length=2)) for j, pair in enumerate(val))
 
 
-def validate_config(cfg: dict) -> None:
-    """Structural validation: sections, keys, and value shapes."""
-    _mapping(cfg, "$", {"system", "reference", "controller", "bounds", "sim", "region"}, {"system"})
-
-    system = cfg["system"]
-    is_builtin = isinstance(system, str)
-    if is_builtin:
-        if not system.startswith("builtin:") or system[len("builtin:"):] not in _CONFIG_FILES:
-            _fail("$.system", f"expected 'builtin:<name>' with name in {tuple(_CONFIG_FILES)}, got {system!r}")
-    else:
-        _validate_family(system)
-
-    if not is_builtin:
-        for section in ("reference", "controller", "bounds", "sim"):
-            if section not in cfg:
-                _fail(f"$.{section}", "required unless system is a builtin")
-
-    if "reference" in cfg:
-        ref = _mapping(cfg["reference"], "$.reference", {"amp", "freq"}, {"amp", "freq"})
-        _number(ref["amp"], "$.reference.amp")
-        _number(ref["freq"], "$.reference.freq")
-
-    if "controller" in cfg:
-        ctl = _mapping(cfg["controller"], "$.controller", {"stages"}, {"stages"})
-        if not isinstance(ctl["stages"], list) or not ctl["stages"]:
-            _fail("$.controller.stages", "expected a non-empty list of stages")
-        for j, st in enumerate(ctl["stages"]):
-            where = f"$.controller.stages[{j}]"
-            _mapping(st, where, {"v_bar", "c", "funnel"}, {"v_bar", "funnel"})
-            _number(st["v_bar"], f"{where}.v_bar", positive=True)
-            if "c" in st:
-                _number(st["c"], f"{where}.c", positive=True)
-            fu = _mapping(st["funnel"], f"{where}.funnel", {"p", "delta", "q", "mu"}, {"q", "mu"})
-            _number(fu["q"], f"{where}.funnel.q", positive=True)
-            _number(fu["mu"], f"{where}.funnel.mu", positive=True)
-            if ("p" in fu) == ("delta" in fu):
-                _fail(f"{where}.funnel", "exactly one of 'p' (explicit start) or 'delta' (start offset) is required")
-            if "p" in fu:
-                _number(fu["p"], f"{where}.funnel.p", positive=True)
-            else:
-                _number(fu["delta"], f"{where}.funnel.delta", positive=True)
-
-    if "bounds" in cfg:
-        bounds = _mapping(
-            cfg["bounds"],
-            "$.bounds",
-            {"k", "g_lo", "g_hi", "d_bar", "v0_bar", "r0"},
-            {"k", "g_lo", "g_hi", "d_bar", "v0_bar", "r0"},
-        )
-        n = len(bounds["k"]) if isinstance(bounds["k"], list) else None
-        for key in ("k", "g_lo", "g_hi", "d_bar"):
-            _number_list(bounds[key], f"$.bounds.{key}", length=n, nonneg=True)
-        _number(bounds["v0_bar"], "$.bounds.v0_bar", nonneg=True)
-        _number(bounds["r0"], "$.bounds.r0", nonneg=True)
-
-    if "sim" in cfg:
-        sim = _mapping(cfg["sim"], "$.sim", {"x0", "horizon", "step", "substeps"}, {"x0", "horizon"})
-        _number_list(sim["x0"], "$.sim.x0")
-        _number(sim["horizon"], "$.sim.horizon", positive=True)
-        if "step" in sim:
-            _number(sim["step"], "$.sim.step", positive=True)
-        if "substeps" in sim:
-            sub = sim["substeps"]
-            if not isinstance(sub, int) or isinstance(sub, bool) or sub < 1:
-                _fail("$.sim.substeps", f"expected an integer >= 1, got {sub!r}")
-
-    if "region" in cfg:
-        region = _mapping(
-            cfg["region"],
-            "$.region",
-            {"deltas", "x_range", "y_range", "grid", "probe_points"},
-            {"deltas", "x_range", "y_range"},
-        )
-        _number_list(region["deltas"], "$.region.deltas", length=2, positive=True)
-        for key in ("x_range", "y_range"):
-            rng = _number_list(region[key], f"$.region.{key}", length=2)
-            if rng[0] >= rng[1]:
-                _fail(f"$.region.{key}", f"range must satisfy lo < hi, got {rng}")
-        if "grid" in region:
-            grid = region["grid"]
-            if (
-                not isinstance(grid, list)
-                or len(grid) != 2
-                or not all(isinstance(g, int) and not isinstance(g, bool) and g >= 2 for g in grid)
-            ):
-                _fail("$.region.grid", f"expected [nx, ny] integers >= 2, got {grid!r}")
-        if "probe_points" in region:
-            if not isinstance(region["probe_points"], list):
-                _fail("$.region.probe_points", "expected a list of [x, y] pairs")
-            for j, pt in enumerate(region["probe_points"]):
-                _number_list(pt, f"$.region.probe_points[{j}]", length=2)
-
-
-def _validate_family(system) -> None:
-    if not isinstance(system, dict) or "family" not in system:
-        _fail("$.system", "expected 'builtin:<name>' or an object with a 'family' key")
-    family = system["family"]
-    if family == "pendulum":
-        _mapping(system, "$.system", {"family", "m", "l", "k", "g", "disturbance"}, {"family"})
-        for key in ("m", "l"):
-            if key in system:
-                _number(system[key], f"$.system.{key}", positive=True)
-        for key in ("k", "g"):
-            if key in system:
-                _number(system[key], f"$.system.{key}", nonneg=True)
-    elif family == "sine_chain":
-        _mapping(system, "$.system", {"family", "a", "b2", "g", "disturbance"}, {"family"})
-        if "a" in system:
-            _number_list(system["a"], "$.system.a", length=2)
-        if "b2" in system:
-            _number(system["b2"], "$.system.b2")
-        if "g" in system:
-            _number_list(system["g"], "$.system.g", length=2, positive=True)
-    else:
-        _fail("$.system.family", f"unknown family {family!r}; known: pendulum, sine_chain")
-    if "disturbance" in system:
-        if not isinstance(system["disturbance"], list) or len(system["disturbance"]) != 2:
-            _fail("$.system.disturbance", "expected one [amp, freq] pair per stage")
-        for j, pair in enumerate(system["disturbance"]):
-            _number_list(pair, f"$.system.disturbance[{j}]", length=2)
+# Each family's factory and, for each key of its block besides ``family``,
+# the factory argument it sets and how it is read.  Omitted keys take the
+# factory's defaults.
+_FAMILIES = {
+    "pendulum": (
+        pendulum_system,
+        {
+            "m": ("m", partial(_number, positive=True)),
+            "l": ("l", partial(_number, positive=True)),
+            "k": ("k", partial(_number, nonneg=True)),
+            "g": ("gravity", partial(_number, nonneg=True)),
+            "disturbance": ("d", _disturbance),
+        },
+    ),
+    "sine_chain": (
+        sine_chain_system,
+        {
+            "a": ("a", partial(_number_list, length=2)),
+            "b2": ("b2", _number),
+            "g": ("gains", partial(_number_list, length=2, positive=True)),
+            "disturbance": ("d", _disturbance),
+        },
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -255,16 +157,19 @@ class ResolvedConfig:
     region: RegionSpec | None
 
 
-_FAMILIES = {"pendulum": (pendulum_system, "gravity"), "sine_chain": (sine_chain_system, "gains")}
-
-
-def _build_system(section) -> SystemSpec:
-    """Call the family's factory with the keys the block gives, so omitted
-    parameters take the factory's defaults; ``g`` names its gravity or gains."""
-    factory, g_name = _FAMILIES[section["family"]]
-    kwargs = {g_name if key == "g" else key: val for key, val in section.items() if key not in ("family", "disturbance")}
-    if "disturbance" in section:
-        kwargs["d"] = tuple(sine_signal(amp, freq) for amp, freq in section["disturbance"])
+def _system(section) -> SystemSpec:
+    if not isinstance(section, dict) or "family" not in section:
+        _fail("$.system", "expected 'builtin:<name>' or an object with a 'family' key")
+    family = section["family"]
+    if not isinstance(family, str) or family not in _FAMILIES:
+        _fail("$.system.family", f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
+    factory, keys = _FAMILIES[family]
+    _mapping(section, "$.system", {"family", *keys}, {"family"})
+    kwargs = {}
+    for key, val in section.items():
+        if key != "family":
+            arg, read = keys[key]
+            kwargs[arg] = read(val, f"$.system.{key}")
     return factory(**kwargs)
 
 
@@ -279,7 +184,7 @@ def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float)
 
 
 def resolve_config(cfg: dict) -> ResolvedConfig:
-    """Assemble the validated config into a Scenario plus optional RegionSpec.
+    """Check and assemble a config into a Scenario plus optional RegionSpec.
 
     A ``builtin:<name>`` system is replaced by the bundled config's system
     block, and the bundled sections other than ``region`` fill in the ones
@@ -288,29 +193,44 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     chains through the t = 0 outputs of the already-resolved stages, with
     psi(0) = p as check_point and the region sweep have it.
     """
-    validate_config(cfg)
+    _mapping(cfg, "$", {"system", "reference", "controller", "bounds", "sim", "region"}, {"system"})
     if isinstance(cfg["system"], str):
-        bundled = json.loads(dump_defaults(cfg["system"][len("builtin:"):]))
+        name = cfg["system"][len("builtin:"):]
+        if not cfg["system"].startswith("builtin:") or name not in _CONFIG_FILES:
+            _fail("$.system", f"expected 'builtin:<name>' with name in {tuple(_CONFIG_FILES)}, got {cfg['system']!r}")
+        bundled = json.loads(dump_defaults(name))
         del bundled["region"]
         cfg = {**bundled, **cfg, "system": bundled["system"]}
 
-    system = _build_system(cfg["system"])
-    reference = sine_reference(cfg["reference"]["amp"], cfg["reference"]["freq"])
-    sim = cfg["sim"]
-    x0 = tuple(float(v) for v in sim["x0"])
-    if len(x0) != system.n:
-        _fail("$.sim.x0", f"expected {system.n} entries, got {len(x0)}")
-    controller = _resolve_controller(cfg["controller"], system.n, x0, reference)
+    system = _system(cfg["system"])
+    for section in ("reference", "controller", "bounds", "sim"):
+        if section not in cfg:
+            _fail(f"$.{section}", "required unless system is a builtin")
 
-    b = cfg["bounds"]
-    if len(b["k"]) != system.n:
-        _fail("$.bounds", f"expected {system.n} entries per list, got {len(b['k'])}")
+    ref = _mapping(cfg["reference"], "$.reference", {"amp", "freq"}, {"amp", "freq"})
+    reference = sine_reference(_number(ref["amp"], "$.reference.amp"), _number(ref["freq"], "$.reference.freq"))
+
+    sim = _mapping(cfg["sim"], "$.sim", {"x0", "horizon", "step", "substeps"}, {"x0", "horizon"})
+    x0 = _number_list(sim["x0"], "$.sim.x0", length=system.n)
+    horizon = _number(sim["horizon"], "$.sim.horizon", positive=True)
+    step = _number(sim["step"], "$.sim.step", positive=True) if "step" in sim else DEFAULT_STEP
+    substeps = sim.get("substeps")
+    if "substeps" in sim and not _is_count(substeps, 1):
+        _fail("$.sim.substeps", f"expected an integer >= 1, got {substeps!r}")
+
+    controller = _controller(cfg["controller"], x0, reference)
+
+    keys = {"k", "g_lo", "g_hi", "d_bar", "v0_bar", "r0"}
+    b = _mapping(cfg["bounds"], "$.bounds", keys, keys)
+    vals = {key: _number_list(b[key], f"$.bounds.{key}", length=system.n, nonneg=True) for key in ("k", "g_lo", "g_hi", "d_bar")}
+    vals.update((key, _number(b[key], f"$.bounds.{key}", nonneg=True)) for key in ("v0_bar", "r0"))
     try:
-        bounds = BoundsSpec(k=b["k"], g_lo=b["g_lo"], g_hi=b["g_hi"], d_bar=b["d_bar"], v0_bar=b["v0_bar"], r0=b["r0"])
+        bounds = BoundsSpec(**vals)
     except ValueError as e:
         _fail("$.bounds", str(e))
 
-    step = float(sim.get("step", DEFAULT_STEP))
+    if substeps is None:
+        substeps = _stable_substeps(controller, bounds, step)
     try:
         scenario = Scenario(
             system=system,
@@ -318,62 +238,97 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
             controller=controller,
             bounds=bounds,
             x0=x0,
-            horizon=float(sim["horizon"]),
+            horizon=horizon,
             step=step,
-            substeps=sim["substeps"] if "substeps" in sim else _stable_substeps(controller, bounds, step),
+            substeps=substeps,
         )
     except ValueError as e:
         _fail("$.sim", str(e))
 
     region = None
     if "region" in cfg:
-        region = _resolve_region(cfg["region"], scenario)
+        region = _region(cfg["region"], scenario)
     return ResolvedConfig(scenario=scenario, region=region)
 
 
-def _resolve_controller(section, n: int, x0, reference: ReferenceSpec) -> CascadeConfig:
-    stages_cfg = section["stages"]
-    if len(stages_cfg) != n:
-        _fail("$.controller.stages", f"expected {n} stages for this system, got {len(stages_cfg)}")
+def _stage(st, where: str) -> tuple:
+    """Read one stage: (v_bar, c, p, delta, q, mu), with one of p and delta None."""
+    _mapping(st, where, {"v_bar", "c", "funnel"}, {"v_bar", "funnel"})
+    v_bar = _number(st["v_bar"], f"{where}.v_bar", positive=True)
+    c = _number(st["c"], f"{where}.c", positive=True) if "c" in st else math.pi / 2.0
+    fu = _mapping(st["funnel"], f"{where}.funnel", {"p", "delta", "q", "mu"}, {"q", "mu"})
+    q = _number(fu["q"], f"{where}.funnel.q", positive=True)
+    mu = _number(fu["mu"], f"{where}.funnel.mu", positive=True)
+    if ("p" in fu) == ("delta" in fu):
+        _fail(f"{where}.funnel", "exactly one of 'p' (explicit start) or 'delta' (start offset) is required")
+    p = _number(fu["p"], f"{where}.funnel.p", positive=True) if "p" in fu else None
+    delta = _number(fu["delta"], f"{where}.funnel.delta", positive=True) if "delta" in fu else None
+    return v_bar, c, p, delta, q, mu
+
+
+def _controller(section, x0: list[float], reference: ReferenceSpec) -> CascadeConfig:
+    stages_cfg = _mapping(section, "$.controller", {"stages"}, {"stages"})["stages"]
+    if not isinstance(stages_cfg, list) or not stages_cfg:
+        _fail("$.controller.stages", "expected a non-empty list of stages")
+    # Every stage is read before the count is checked, so a malformed stage
+    # is named before a missing one, and no extra stage is resolved.
+    read = [_stage(st, f"$.controller.stages[{j}]") for j, st in enumerate(stages_cfg)]
+    if len(read) != len(x0):
+        _fail("$.controller.stages", f"expected {len(x0)} stages for this system, got {len(read)}")
     stages = []
     prev = reference.y_d(0.0)
-    for j, st in enumerate(stages_cfg):
-        where = f"$.controller.stages[{j}]"
-        fu = st["funnel"]
-        z0_j = float(x0[j]) - prev
-        p = fu["p"] if "p" in fu else abs(z0_j) + fu["delta"]
+    for j, ((v_bar, c, p, delta, q, mu), x0_j) in enumerate(zip(read, x0)):
+        z0_j = x0_j - prev
         try:
-            funnel = FunnelParams(p=p, q=fu["q"], mu=fu["mu"])
-            stage = StageControllerParams(v_bar=st["v_bar"], c=st.get("c", math.pi / 2.0), funnel=funnel)
+            funnel = FunnelParams(p=abs(z0_j) + delta if p is None else p, q=q, mu=mu)
         except ValueError as e:
-            _fail(f"{where}.funnel", str(e))
+            _fail(f"$.controller.stages[{j}].funnel", str(e))
+        stage = StageControllerParams(v_bar=v_bar, c=c, funnel=funnel)
         stages.append(stage)
         prev = _start_output(z0_j, funnel.p, stage)
-    return CascadeConfig(n=n, stages=tuple(stages))
+    return CascadeConfig(n=len(stages), stages=tuple(stages))
 
 
-def _resolve_region(section, scenario: Scenario) -> RegionSpec:
+def _region(section, scenario: Scenario) -> RegionSpec:
+    region = _mapping(
+        section,
+        "$.region",
+        {"deltas", "x_range", "y_range", "grid", "probe_points"},
+        {"deltas", "x_range", "y_range"},
+    )
+    deltas = _number_list(region["deltas"], "$.region.deltas", length=2, positive=True)
+    grid = region.get("grid", list(DEFAULT_GRID))
+    if not (isinstance(grid, list) and len(grid) == 2 and all(_is_count(g, 2) for g in grid)):
+        _fail("$.region.grid", f"expected [nx, ny] integers >= 2, got {grid!r}")
+    axes = []
+    for key, size in zip(("x_range", "y_range"), grid):
+        rng = _number_list(region[key], f"$.region.{key}", length=2)
+        if rng[0] >= rng[1]:
+            _fail(f"$.region.{key}", f"range must satisfy lo < hi, got {rng}")
+        axes.append(np.linspace(rng[0], rng[1], size))
+    probes = (scenario.x0,)
+    if "probe_points" in region:
+        if not isinstance(region["probe_points"], list):
+            _fail("$.region.probe_points", "expected a list of [x, y] pairs")
+        probes = tuple(
+            tuple(_number_list(pt, f"$.region.probe_points[{j}]", length=2)) for j, pt in enumerate(region["probe_points"])
+        )
     try:
-        template = RegionTemplate(scenario.controller, section["deltas"], scenario.bounds, scenario.reference.y_d(0.0))
+        template = RegionTemplate(scenario.controller, deltas, scenario.bounds, scenario.reference.y_d(0.0))
     except ValueError as e:
         _fail("$.region", str(e))
-    nx, ny = section.get("grid", DEFAULT_GRID)
-    x_lo, x_hi = section["x_range"]
-    y_lo, y_hi = section["y_range"]
-    probes = section.get("probe_points")
-    if probes is None:
-        probes = [list(scenario.x0)]
-    return RegionSpec(
-        template=template,
-        x=np.linspace(x_lo, x_hi, nx),
-        y=np.linspace(y_lo, y_hi, ny),
-        probe_points=tuple((float(p[0]), float(p[1])) for p in probes),
-    )
+    return RegionSpec(template=template, x=axes[0], y=axes[1], probe_points=probes)
 
 
 def load_scenario(path) -> ResolvedConfig:
-    """Read a config file and resolve it; resolve_config validates it once."""
-    return resolve_config(_parse_file(path))
+    """Read a config file and resolve it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+    return resolve_config(cfg)
 
 
 class BuiltinExample(NamedTuple):

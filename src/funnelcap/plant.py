@@ -100,12 +100,11 @@ def eval_dynamics(system: SystemSpec, state: Sequence[float], control: float, t:
     return out
 
 
-def sine_signal(amp: float, freq: float, phase: float = 0.0) -> TimeSignal:
-    """Deterministic sinusoid amp*sin(freq*t + phase), used for disturbances."""
+def sine_signal(amp: float, freq: float) -> TimeSignal:
+    """Deterministic sinusoid amp*sin(freq*t), used for disturbances."""
     amp = float(amp)
     freq = float(freq)
-    phase = float(phase)
-    return lambda t: amp * math.sin(freq * t + phase)
+    return lambda t: amp * math.sin(freq * t)
 
 
 def zero_signal(t: float) -> float:

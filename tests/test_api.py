@@ -41,7 +41,6 @@ def test_public_api_is_pinned():
         "funnel_rate_bounds",
         "funnel_value",
         "gain_range",
-        "load_config",
         "load_scenario",
         "monitor",
         "pendulum_system",

@@ -1,12 +1,14 @@
+import copy
 import json
 import math
 import random
+import re
 
 import pytest
 
 import funnelcap as fc
-from funnelcap import ConfigError, config
-from funnelcap.config import load_config, resolve_config, validate_config
+from funnelcap import ConfigError
+from funnelcap.config import resolve_config
 
 
 def ex1_cfg():
@@ -21,6 +23,23 @@ def write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def key_paths(node, steps=()):
+    """Every key and list index under node, as the steps from the root."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield steps + (key,)
+            yield from key_paths(child, steps + (key,))
+
+
+def json_path(steps):
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+
+
+def on_one_branch(a, b):
+    short, long = sorted((a, b), key=len)
+    return long.startswith(short) and long[len(short) : len(short) + 1] in ("", ".", "[")
 
 
 class TestBundledConfigs:
@@ -79,11 +98,11 @@ class TestFunnelResolution:
         cfg = ex1_cfg()
         cfg["controller"]["stages"][0]["funnel"]["delta"] = 0.5
         with pytest.raises(ConfigError, match="exactly one"):
-            validate_config(cfg)
+            resolve_config(cfg)
         del cfg["controller"]["stages"][0]["funnel"]["delta"]
         del cfg["controller"]["stages"][0]["funnel"]["p"]
         with pytest.raises(ConfigError, match="exactly one"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
 
 class TestValidation:
@@ -91,32 +110,32 @@ class TestValidation:
         cfg = ex1_cfg()
         cfg["plotting"] = {}
         with pytest.raises(ConfigError, match=r"at \$: unknown key"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_unknown_nested_key_with_path(self):
         cfg = ex1_cfg()
         cfg["controller"]["stages"][0]["funnel"]["shape"] = "exp"
         with pytest.raises(ConfigError, match=r"stages\[0\]\.funnel"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_parse_error_carries_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "system": "builtin:pendulum_ex1",\n  "bounds": oops\n}\n', encoding="utf-8")
         with pytest.raises(ConfigError, match=r"broken\.json:3:13"):
-            load_config(path)
+            fc.load_scenario(path)
 
     def test_missing_sections_for_family_system(self):
         cfg = {"system": {"family": "pendulum"}}
         with pytest.raises(ConfigError, match="required unless system is a builtin"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_unknown_builtin_and_family(self):
         with pytest.raises(ConfigError, match=r"\$\.system"):
-            validate_config({"system": "builtin:lorenz"})
+            resolve_config({"system": "builtin:lorenz"})
         cfg = ex1_cfg()
         cfg["system"] = {"family": "lorenz"}
         with pytest.raises(ConfigError, match="unknown family"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_x0_length_checked(self):
         cfg = ex1_cfg()
@@ -125,22 +144,50 @@ class TestValidation:
             resolve_config(cfg)
 
     def test_bounds_length_checked(self):
-        cfg = ex1_cfg()
-        cfg["bounds"]["k"] = [0.0]
-        with pytest.raises(ConfigError):
-            resolve_config(cfg)
+        # a short k names k, not the first list of the right length
+        for k in ([0.0], [], [13.859292911256333], [0.0, 1.0, 2.0]):
+            cfg = ex1_cfg()
+            cfg["bounds"]["k"] = k
+            with pytest.raises(ConfigError, match=rf"at \$\.bounds\.k: expected 2 entries, got {len(k)}$"):
+                resolve_config(cfg)
+
+    def test_single_key_mutations_resolve_or_name_their_path(self):
+        # Each mutant resolves, or raises a ConfigError anchored on the
+        # mutated key's branch: at the key, at a parent, or inside the new value.
+        delete = object()
+        values = ("x", -1, 0, math.nan, math.inf, [], {}, True, 2.5, [1.0], None, delete)
+        outcomes = {"resolved": 0, "refused": 0}
+        for base in (ex1_cfg(), ex2_cfg()):
+            for steps in key_paths(base):
+                for value in values:
+                    cfg = copy.deepcopy(base)
+                    node = cfg
+                    for step in steps[:-1]:
+                        node = node[step]
+                    if value is delete:
+                        del node[steps[-1]]
+                    else:
+                        node[steps[-1]] = copy.deepcopy(value)
+                    try:
+                        resolve_config(cfg)
+                        outcomes["resolved"] += 1
+                    except ConfigError as e:
+                        anchor = re.match(r"at (\$\S*): ", str(e))
+                        assert anchor and on_one_branch(anchor.group(1), json_path(steps)), (json_path(steps), value, str(e))
+                        outcomes["refused"] += 1
+        assert outcomes["resolved"] > 0 and outcomes["refused"] > 1000
 
     def test_zero_horizon_rejected(self):
         cfg = ex1_cfg()
         cfg["sim"]["horizon"] = 0.0
         with pytest.raises(ConfigError, match=r"\$\.sim\.horizon"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_bad_substeps_rejected(self):
         cfg = ex1_cfg()
         cfg["sim"]["substeps"] = 2.5
         with pytest.raises(ConfigError, match="substeps"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_stage_count_must_match_system(self):
         cfg = ex1_cfg()
@@ -152,21 +199,21 @@ class TestValidation:
         cfg = ex1_cfg()
         cfg["region"]["grid"] = [1, 201]
         with pytest.raises(ConfigError, match=r"\$\.region\.grid"):
-            validate_config(cfg)
+            resolve_config(cfg)
         cfg = ex1_cfg()
         cfg["region"]["x_range"] = [2.0, -2.0]
         with pytest.raises(ConfigError, match="lo < hi"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
     def test_number_type_checks(self):
         cfg = ex1_cfg()
         cfg["bounds"]["v0_bar"] = "one"
         with pytest.raises(ConfigError, match="expected a number"):
-            validate_config(cfg)
+            resolve_config(cfg)
         cfg = ex1_cfg()
         cfg["bounds"]["k"] = [0.0, -1.0]
         with pytest.raises(ConfigError, match=r"k\[1\]"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
 
 class TestFamilies:
@@ -201,7 +248,7 @@ class TestFamilies:
         cfg["system"] = {"family": "sine_chain"}
         del cfg["bounds"]
         with pytest.raises(ConfigError, match=r"\$\.bounds"):
-            validate_config(cfg)
+            resolve_config(cfg)
 
 
 class TestRegionResolution:
@@ -285,12 +332,6 @@ class TestRegionResolution:
             z1 = sc.x0[0] - sc.reference.y_d(0.0)
             u1 = fc.stage_control(fc.clamp_theta(z1 / s1.funnel.p)[0], s1)
             assert (z1, sc.x0[1] - u1) == pt.z0
-
-    def test_load_scenario_validates_once(self, ex1_config_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(config, "validate_config", lambda cfg: calls.append(cfg) or validate_config(cfg))
-        fc.load_scenario(ex1_config_path)
-        assert len(calls) == 1
 
     def test_omitted_substeps_sized_from_stiffness(self):
         # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for
