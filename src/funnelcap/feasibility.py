@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -297,53 +298,20 @@ def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibilit
     return PointFeasibility(x=x, y=y, p=(p1, p2), z0=(z1, z2), report=report)
 
 
-@dataclass(frozen=True)
-class RegionResult:
-    """Grid sweep output: feasible mask and both stage margins per cell.
+def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
+    """The one region sweep kernel: yield (rows, margin_c1, margin_c2) per row tile.
 
-    Arrays are indexed [iy, ix]; cell (ix, iy) covers initial state
-    (x[ix], y[iy]).
+    p_1 = |x - y_d0| + deltas[0] and u_1(0) depend on x alone, so they are
+    computed once per x with the scalar stage law; p_2 = |y - u_1(0)| +
+    deltas[1] spans the grid.  The recursion runs on an (nx,) row of p_1 and
+    one tile of about _TILE_CELLS cells of p_2 at a time, so its temporaries
+    stay in cache; it is elementwise, so every cell gets check_point's bits.
     """
-
-    x: np.ndarray
-    y: np.ndarray
-    feasible: np.ndarray
-    margin_c1: np.ndarray
-    margin_c2: np.ndarray
-
-    @property
-    def fraction(self) -> float:
-        return float(np.count_nonzero(self.feasible)) / self.feasible.size
-
-
-def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[float]) -> RegionResult:
-    """Certificate sweep over a rectangular grid of initial states.
-
-    Stage 1's envelope start p_1 = |x - y_d0| + deltas[0] and output u_1(0)
-    depend on x alone, so they are computed once per x with the scalar stage
-    law.  p_2 = |y - u_1(0)| + deltas[1] then spans the grid, and the
-    certificate recursion runs with p_1 as an (nx,) row and p_2 as one tile
-    of grid rows at a time (about _TILE_CELLS cells), so its temporaries stay
-    in cache and peak memory is about the size of the outputs.  The
-    arithmetic is elementwise, so tiling changes no bit: every cell gets the
-    arithmetic check_point does, and mask and margins match it exactly.  A
-    cell is feasible iff both margins are strictly positive; the start
-    condition holds by construction since deltas > 0.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
-        raise ValueError("grid axes must be non-empty 1-D arrays")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("grid axes must be finite")
-
     stages = template.controller.stages
     z1 = x - template.y_d0
     p1 = np.abs(z1) + template.deltas[0]
     u1 = np.array([_start_output(z, p, stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
     consts = _stage_constants(stages)
-    margin1 = np.empty((y.size, x.size))
-    margin2 = np.empty_like(margin1)
     rows = max(1, _TILE_CELLS // x.size)
     for start in range(0, y.size, rows):
         tile = slice(start, start + rows)
@@ -351,23 +319,73 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         np.abs(p2, out=p2)
         p2 += template.deltas[1]
         (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), *consts)
-        margin1[tile] = m1
-        margin2[tile] = m2
-    feasible = margin1 > 0.0
-    feasible &= margin2 > 0.0
-    return RegionResult(x=x, y=y, feasible=feasible, margin_c1=margin1, margin_c2=margin2)
+        yield tile, m1, m2
+
+
+@dataclass(frozen=True)
+class RegionResult:
+    """Grid sweep output, indexed [iy, ix] for initial state (x[ix], y[iy]):
+    the feasible mask, and both stage margins, re-run from ``template`` and
+    the read-only axes on first read, then cached."""
+
+    template: RegionTemplate
+    x: np.ndarray
+    y: np.ndarray
+    feasible: np.ndarray
+
+    @property
+    def fraction(self) -> float:
+        return float(np.count_nonzero(self.feasible)) / self.feasible.size
+
+    @cached_property
+    def _margins(self) -> tuple[np.ndarray, ...]:
+        margins = np.empty((2, *self.feasible.shape))
+        for tile, m1, m2 in _margin_tiles(self.template, self.x, self.y):
+            margins[:, tile] = m1, m2
+        return tuple(margins)
+
+    margin_c1 = property(lambda self: self._margins[0], doc="Stage-1 margin per cell.")
+    margin_c2 = property(lambda self: self._margins[1], doc="Stage-2 margin per cell.")
+
+
+def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[float]) -> RegionResult:
+    """Certificate sweep over a rectangular grid of initial states.
+
+    Mask first: only the mask is kept, built tile by tile from _margin_tiles.
+    A cell is feasible iff both margins are strictly positive; the start
+    condition holds by construction since deltas > 0.  Mask and margins
+    match check_point exactly at every cell.
+    """
+    x = np.array(x, dtype=float)  # copies: the result owns its axes
+    y = np.array(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
+        raise ValueError("grid axes must be non-empty 1-D arrays")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("grid axes must be finite")
+    x.flags.writeable = y.flags.writeable = False
+    feasible = np.empty((y.size, x.size), dtype=bool)
+    for tile, m1, m2 in _margin_tiles(template, x, y):
+        np.logical_and(m1 > 0.0, m2 > 0.0, out=feasible[tile])
+    return RegionResult(template=template, x=x, y=y, feasible=feasible)
+
+
+def _csv_row(xs: list[str], y: float, mask, m1, m2) -> str:
+    """The region.csv lines of one grid row; ``xs`` holds its x values formatted."""
+    y = "%.17g" % y
+    cells = zip(xs, mask.tolist(), m1.tolist(), m2.tolist())
+    return "".join(["%s,%s,%d,%.17g,%.17g\n" % (x, y, f, a, b) for x, f, a, b in cells])
 
 
 def region_to_csv(result: RegionResult, path) -> None:
     """Write one row per cell: x, y, feasible(0/1), margin_c1, margin_c2.
 
-    Works one grid row at a time: each x and y is formatted once, and only
-    one row of the mask and margins is converted to Python values at a time.
+    Streams the margins from the sweep kernel a row tile at a time and never
+    builds (or caches) the full grids; each x and y is formatted once.
     """
     xs = ["%.17g" % v for v in result.x.tolist()]
+    ys = result.y.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,feasible,margin_c1,margin_c2\n")
-        for yv, mask, m1, m2 in zip(result.y.tolist(), result.feasible, result.margin_c1, result.margin_c2):
-            y = "%.17g" % yv
-            cells = zip(xs, mask.tolist(), m1.tolist(), m2.tolist())
-            fh.write("".join(["%s,%s,%d,%.17g,%.17g\n" % (x, y, f, a, b) for x, f, a, b in cells]))
+        for tile, m1, m2 in _margin_tiles(result.template, result.x, result.y):
+            for row in zip(ys[tile], result.feasible[tile], m1, m2):
+                fh.write(_csv_row(xs, *row))

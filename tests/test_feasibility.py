@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from funnelcap import (
     gain_range,
     region_to_csv,
 )
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage_constants, _start_output
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _csv_row, _stage_constants, _start_output
 
 HALF_PI = math.pi / 2.0
 
@@ -319,6 +321,15 @@ class TestMarginMonotonicity:
         assert new >= base[0]
 
 
+def write_csv_rows(res, path):
+    """region.csv for arrays no sweep gives, written through region_to_csv's row formatter."""
+    xs = ["%.17g" % v for v in res.x.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,feasible,margin_c1,margin_c2\n")
+        for row in zip(res.y.tolist(), res.feasible, res.margin_c1, res.margin_c2):
+            fh.write(_csv_row(xs, *row))
+
+
 class TestRegion:
     def test_pendulum_start_cell_is_feasible(self):
         pt = check_point(ex1_template(), -0.5, 1.0)
@@ -448,20 +459,23 @@ class TestRegion:
             check_point(ex1_template(), x, y)
 
     @pytest.mark.parametrize(
-        "res",
+        "res, write",
         [
-            feasible_region(ex1_template(), np.linspace(-2.0, 2.0, 37), np.linspace(-2.0, 2.0, 29)),
-            RegionResult(
-                x=np.array([-0.0, 1e-300, 2.5]),
-                y=np.array([0.1, -1e17]),
-                feasible=np.array([[True, False, True], [False, False, True]]),
-                margin_c1=np.array([[-0.0, np.inf, np.nan], [1.0 / 3.0, -np.inf, 5e-324]]),
-                margin_c2=np.array([[np.nan, -0.0, 0.0], [np.inf, 123456789.125, -2.0]]),
+            (feasible_region(ex1_template(), np.linspace(-2.0, 2.0, 37), np.linspace(-2.0, 2.0, 29)), region_to_csv),
+            (
+                SimpleNamespace(
+                    x=np.array([-0.0, 1e-300, 2.5]),
+                    y=np.array([0.1, -1e17]),
+                    feasible=np.array([[True, False, True], [False, False, True]]),
+                    margin_c1=np.array([[-0.0, np.inf, np.nan], [1.0 / 3.0, -np.inf, 5e-324]]),
+                    margin_c2=np.array([[np.nan, -0.0, 0.0], [np.inf, 123456789.125, -2.0]]),
+                ),
+                write_csv_rows,
             ),
         ],
         ids=["sweep", "special-values"],
     )
-    def test_csv_bytes_match_per_cell_writer(self, res, tmp_path):
+    def test_csv_bytes_match_per_cell_writer(self, res, write, tmp_path):
         lines = ["x,y,feasible,margin_c1,margin_c2\n"]
         for iy in range(res.y.size):
             for ix in range(res.x.size):
@@ -470,8 +484,51 @@ class TestRegion:
                     f"{res.margin_c1[iy, ix]:.17g},{res.margin_c2[iy, ix]:.17g}\n"
                 )
         path = tmp_path / "region.csv"
-        region_to_csv(res, path)
+        write(res, path)
         assert path.read_bytes() == "".join(lines).encode("utf-8")
+
+    def test_result_owns_its_axes(self, tmp_path):
+        template = ex1_template()
+        x = np.linspace(-2.0, 2.0, 23)
+        y = np.linspace(-2.5, 2.5, 19)
+        res = feasible_region(template, x, y)
+        before = tmp_path / "before.csv"
+        region_to_csv(res, before)
+        mask = res.feasible.copy()
+        assert mask.any() and not mask.all()
+        x += 5.0
+        y *= -3.0
+        with pytest.raises(ValueError):
+            res.x[0] = 0.0
+        fresh = feasible_region(template, np.linspace(-2.0, 2.0, 23), np.linspace(-2.5, 2.5, 19))
+        assert np.array_equal(res.feasible, mask)
+        assert np.array_equal(res.margin_c1, fresh.margin_c1)
+        assert np.array_equal(res.margin_c2, fresh.margin_c2)
+        assert np.array_equal(mask, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
+        assert res.margin_c1 is res.margin_c1  # computed once, then cached
+        after = tmp_path / "after.csv"
+        region_to_csv(res, after)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_sweep_and_csv_never_hold_margin_grids(self, tmp_path):
+        # At 1001^2 the two float64 margin grids take 16 MB; the mask alone 1 MB.
+        template = ex1_template()
+        big = (np.linspace(-2.0, 2.0, 1001), np.linspace(-2.0, 2.0, 1001))
+        small = feasible_region(template, np.linspace(-2.0, 2.0, 501), np.linspace(-2.0, 2.0, 501))
+        tracemalloc.start()
+        try:
+            res = feasible_region(template, *big)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            region_to_csv(small, tmp_path / "region.csv")
+            csv_extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak < 4e6
+        assert csv_extra < 3e6
+        assert "_margins" not in res.__dict__
+        assert "_margins" not in small.__dict__
 
     def test_csv_round_trip(self, tmp_path):
         res = feasible_region(ex1_template(), np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))
