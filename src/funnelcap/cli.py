@@ -133,9 +133,9 @@ def _cmd_region(args) -> int:
     hits = int(result.feasible.sum())
     print(f"feasible cells: {hits}/{total} ({100.0 * result.fraction:.2f}%)")
     for x, y in region.probe_points:
-        pt = check_point(region.template, x, y)
-        margins = ", ".join(f"margin_c{s.stage}={s.margin:.6g}" for s in pt.report.stages)
-        print(f"probe ({x:g}, {y:g}): {'FEASIBLE' if pt.feasible else 'INFEASIBLE'} ({margins})")
+        report = check_point(region.template, x, y)
+        margins = ", ".join(f"margin_c{s.stage}={s.margin:.6g}" for s in report.stages)
+        print(f"probe ({x:g}, {y:g}): {'FEASIBLE' if report.feasible else 'INFEASIBLE'} ({margins})")
     print(f"wrote {out / 'region.csv'}")
     return _EXIT_OK
 

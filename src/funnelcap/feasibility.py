@@ -46,7 +46,6 @@ __all__ = [
     "check_feasibility",
     "RegionTemplate",
     "RegionResult",
-    "PointFeasibility",
     "check_point",
     "feasible_region",
     "region_to_csv",
@@ -253,21 +252,6 @@ class RegionTemplate:
             raise ValueError("each envelope offset must be finite and >= the matching steady-state bound q")
 
 
-@dataclass(frozen=True)
-class PointFeasibility:
-    """Certificate for one initial state under a region template."""
-
-    x: float
-    y: float
-    p: tuple[float, float]
-    z0: tuple[float, float]
-    report: FeasibilityReport
-
-    @property
-    def feasible(self) -> bool:
-        return self.report.feasible
-
-
 def _start_output(z: float, p: float, law: StageControllerParams) -> float:
     """Output at t = 0 of a stage with error z and envelope start psi(0) = p.
 
@@ -279,10 +263,11 @@ def _start_output(z: float, p: float, law: StageControllerParams) -> float:
     return stage_control(theta, law)
 
 
-def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibility:
+def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityReport:
     """Per-point certificate: derive p_1, p_2 from the state, then run the
-    full recursion through check_feasibility.  Does per cell the arithmetic
-    feasible_region does per grid, so the two agree bit for bit."""
+    full recursion through check_feasibility; its report carries each stage's
+    p and z(0).  Does per cell the arithmetic feasible_region does per grid,
+    so the two agree bit for bit."""
     x = float(x)
     y = float(y)
     s1, s2 = template.controller.stages
@@ -294,8 +279,7 @@ def check_point(template: RegionTemplate, x: float, y: float) -> PointFeasibilit
         StageControllerParams(v_bar=s.v_bar, c=s.c, funnel=FunnelParams(p=p, q=s.funnel.q, mu=s.funnel.mu))
         for s, p in ((s1, p1), (s2, p2))
     )
-    report = check_feasibility(CascadeConfig(n=2, stages=stages), template.bounds, (z1, z2))
-    return PointFeasibility(x=x, y=y, p=(p1, p2), z0=(z1, z2), report=report)
+    return check_feasibility(CascadeConfig(n=2, stages=stages), template.bounds, (z1, z2))
 
 
 def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
@@ -326,7 +310,8 @@ def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
 class RegionResult:
     """Grid sweep output, indexed [iy, ix] for initial state (x[ix], y[iy]):
     the feasible mask, and both stage margins, re-run from ``template`` and
-    the read-only axes on first read, then cached."""
+    the axes on first read, then cached.  Axes, mask and margins are
+    read-only, so the mask cannot be edited apart from the margins."""
 
     template: RegionTemplate
     x: np.ndarray
@@ -342,6 +327,7 @@ class RegionResult:
         margins = np.empty((2, *self.feasible.shape))
         for tile, m1, m2 in _margin_tiles(self.template, self.x, self.y):
             margins[:, tile] = m1, m2
+        margins.flags.writeable = False
         return tuple(margins)
 
     margin_c1 = property(lambda self: self._margins[0], doc="Stage-1 margin per cell.")
@@ -362,10 +348,10 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         raise ValueError("grid axes must be non-empty 1-D arrays")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
-    x.flags.writeable = y.flags.writeable = False
     feasible = np.empty((y.size, x.size), dtype=bool)
     for tile, m1, m2 in _margin_tiles(template, x, y):
         np.logical_and(m1 > 0.0, m2 > 0.0, out=feasible[tile])
+    x.flags.writeable = y.flags.writeable = feasible.flags.writeable = False
     return RegionResult(template=template, x=x, y=y, feasible=feasible)
 
 

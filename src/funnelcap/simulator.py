@@ -27,7 +27,7 @@ import numpy as np
 from .controller import THETA_EPS, CascadeConfig, cascade
 from .feasibility import BoundsSpec, check_feasibility
 from .funnel import funnel_value
-from .plant import DynamicsError, ReferenceSpec, SystemSpec, eval_dynamics
+from .plant import DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
 
 __all__ = [
     "Scenario",
@@ -273,7 +273,8 @@ class BoundFamilyReport:
     """Worst margins for one analytical bound family, per stage.
 
     min_margin[i] is the minimum over samples; violations[i] counts samples
-    with a negative margin; worst_t[i] is where the minimum occurred.
+    with a negative or NaN margin; worst_t[i] is where the minimum (or the
+    first NaN) occurred.  Scored like the constants spot check.
     """
 
     name: str
@@ -307,15 +308,13 @@ class MonitorReport:
 
 
 def _family(name: str, margins: np.ndarray, t: np.ndarray) -> tuple[BoundFamilyReport, list[Event]]:
-    worst_idx = np.argmin(margins, axis=0)
-    min_margin = tuple(float(margins[worst_idx[i], i]) for i in range(margins.shape[1]))
-    violations = tuple(int(np.count_nonzero(margins[:, i] < 0.0)) for i in range(margins.shape[1]))
-    worst_t = tuple(float(t[worst_idx[i]]) for i in range(margins.shape[1]))
-    events = []
-    for i in range(margins.shape[1]):
-        for k in np.flatnonzero(margins[:, i] < 0.0):
-            events.append(Event(t=float(t[k]), kind=f"violation_{name}", stage=i + 1, value=float(margins[k, i])))
-    return BoundFamilyReport(name=name, min_margin=min_margin, violations=violations, worst_t=worst_t), events
+    min_margin, violations, rows, fails = _score_margins(margins)
+    events = [
+        Event(t=float(t[k]), kind=f"violation_{name}", stage=i + 1, value=float(margins[k, i]))
+        for i, col in enumerate(fails.T)
+        for k in np.flatnonzero(col)
+    ]
+    return BoundFamilyReport(name, min_margin, violations, tuple(t[list(rows)].tolist())), events
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -336,8 +335,8 @@ def monitor(trajectory: Trajectory, config: CascadeConfig, bounds: BoundsSpec) -
     output_slew      |du_i/dt| <= r_i, the certified slew bound, with du/dt
                      estimated by central differences of the recorded outputs
 
-    Margins are the bound minus the observed magnitude, so negative means
-    violated.  Returns per-family worst margins, violation counts, and one
+    Margins are the bound minus the observed magnitude, so negative (or NaN)
+    means violated.  Returns per-family worst margins, violation counts, and one
     event per violating sample.
     """
     n = trajectory.n

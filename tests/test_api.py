@@ -15,7 +15,6 @@ def test_public_api_is_pinned():
         "FeasibilityReport",
         "FunnelParams",
         "MonitorReport",
-        "PointFeasibility",
         "ReferenceSpec",
         "RegionResult",
         "RegionSpec",

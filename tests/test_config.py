@@ -327,11 +327,11 @@ class TestRegionResolution:
             cfg["sim"]["x0"] = [rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]
             sc = resolve_config(cfg).scenario
             s1, s2 = sc.controller.stages
-            pt = fc.check_point(template, *sc.x0)
-            assert (s1.funnel.p, s2.funnel.p) == pt.p
+            pt = fc.check_point(template, *sc.x0).stages
+            assert (s1.funnel.p, s2.funnel.p) == (pt[0].p, pt[1].p)
             z1 = sc.x0[0] - sc.reference.y_d(0.0)
             u1 = fc.stage_control(fc.clamp_theta(z1 / s1.funnel.p)[0], s1)
-            assert (z1, sc.x0[1] - u1) == pt.z0
+            assert (z1, sc.x0[1] - u1) == (pt[0].z0, pt[1].z0)
 
     def test_omitted_substeps_sized_from_stiffness(self):
         # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for

@@ -334,25 +334,25 @@ class TestRegion:
     def test_pendulum_start_cell_is_feasible(self):
         pt = check_point(ex1_template(), -0.5, 1.0)
         assert pt.feasible
-        assert pt.p[0] == pytest.approx(1.0, rel=1e-12)
-        assert pt.p[1] == pytest.approx(1.35, rel=1e-12)
-        assert pt.report.stages[0].margin == pytest.approx(1.795, rel=1e-9)
-        assert pt.report.stages[1].margin == pytest.approx(137.1683252651053, rel=1e-9)
+        assert pt.stages[0].p == pytest.approx(1.0, rel=1e-12)
+        assert pt.stages[1].p == pytest.approx(1.35, rel=1e-12)
+        assert pt.stages[0].margin == pytest.approx(1.795, rel=1e-9)
+        assert pt.stages[1].margin == pytest.approx(137.1683252651053, rel=1e-9)
 
     def test_second_example_simulated_start_is_feasible(self):
         pt = check_point(ex2_template(), 0.5, -0.8)
         assert pt.feasible
-        assert pt.p == (pytest.approx(1.0, rel=1e-12), pytest.approx(0.4, rel=1e-12))
-        assert pt.report.stages[0].margin == pytest.approx(0.722, rel=1e-9)
-        assert pt.report.stages[1].margin == pytest.approx(2.800171547131697, rel=1e-9)
+        assert (pt.stages[0].p, pt.stages[1].p) == (pytest.approx(1.0, rel=1e-12), pytest.approx(0.4, rel=1e-12))
+        assert pt.stages[0].margin == pytest.approx(0.722, rel=1e-9)
+        assert pt.stages[1].margin == pytest.approx(2.800171547131697, rel=1e-9)
 
     def test_second_example_claimed_member_is_not_feasible(self):
         # The narrower start (0.2, -0.8) fails the stage-2 margin under the
         # offset parameterization; reported as-is, never patched over.
         pt = check_point(ex2_template(), 0.2, -0.8)
         assert not pt.feasible
-        assert pt.report.stages[0].margin == pytest.approx(0.07057142857143, rel=1e-9)
-        assert pt.report.stages[1].margin == pytest.approx(-8.753589691475526, rel=1e-9)
+        assert pt.stages[0].margin == pytest.approx(0.07057142857143, rel=1e-9)
+        assert pt.stages[1].margin == pytest.approx(-8.753589691475526, rel=1e-9)
 
     def test_far_cells_are_infeasible(self):
         # at |x| = 1e17, z_1/p_1 rounds to +/-1 and the stage-1 law needs the clamp
@@ -371,8 +371,8 @@ class TestRegion:
             for ix in range(x.size):
                 pt = check_point(template, x[ix], y[iy])
                 assert pt.feasible == bool(res.feasible[iy, ix])
-                assert res.margin_c1[iy, ix] == pt.report.stages[0].margin
-                assert res.margin_c2[iy, ix] == pt.report.stages[1].margin
+                assert res.margin_c1[iy, ix] == pt.stages[0].margin
+                assert res.margin_c2[iy, ix] == pt.stages[1].margin
 
     def test_sweep_matches_point_checks_second_example(self):
         template = ex2_template()
@@ -383,8 +383,8 @@ class TestRegion:
             for ix in range(x.size):
                 pt = check_point(template, x[ix], y[iy])
                 assert pt.feasible == bool(res.feasible[iy, ix])
-                assert res.margin_c1[iy, ix] == pt.report.stages[0].margin
-                assert res.margin_c2[iy, ix] == pt.report.stages[1].margin
+                assert res.margin_c1[iy, ix] == pt.stages[0].margin
+                assert res.margin_c2[iy, ix] == pt.stages[1].margin
 
     def test_region_nonempty_and_contains_starts(self):
         res1 = feasible_region(ex1_template(), np.linspace(-2, 2, 41), np.linspace(-2, 2, 41))
@@ -419,7 +419,7 @@ class TestRegion:
             bounds=ex1_bounds(),
         )
         pt = check_point(template, 0.1, 0.0)
-        assert pt.p[0] == pytest.approx(0.6, rel=1e-12)
+        assert pt.stages[0].p == pytest.approx(0.6, rel=1e-12)
         res = feasible_region(template, np.array([0.1]), np.array([0.0]))
         assert bool(res.feasible[0, 0]) == pt.feasible
 
@@ -449,7 +449,7 @@ class TestRegion:
 
     def test_point_report_fields_are_python_floats(self):
         for template, (x, y) in ((ex1_template(), (-0.5, 1.0)), (ex2_template(), (0.2, -0.8))):
-            for s in check_point(template, x, y).report.stages:
+            for s in check_point(template, x, y).stages:
                 for name in ("varphi", "rhs", "margin", "r", "p", "z0", "trivial_margin"):
                     assert type(getattr(s, name)) is float, name
 
@@ -498,8 +498,9 @@ class TestRegion:
         assert mask.any() and not mask.all()
         x += 5.0
         y *= -3.0
-        with pytest.raises(ValueError):
-            res.x[0] = 0.0
+        for frozen in (res.x, res.feasible, res.margin_c1, res.margin_c2):
+            with pytest.raises(ValueError):
+                frozen[0] = 0.0
         fresh = feasible_region(template, np.linspace(-2.0, 2.0, 23), np.linspace(-2.5, 2.5, 19))
         assert np.array_equal(res.feasible, mask)
         assert np.array_equal(res.margin_c1, fresh.margin_c1)

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from funnelcap import (
@@ -14,6 +16,7 @@ from funnelcap import (
     spot_check_bounds,
     zero_signal,
 )
+from funnelcap.plant import _score_margins
 
 
 class TestEvalDynamics:
@@ -128,6 +131,56 @@ class TestSpotCheck:
             spot_check_bounds(ex1.system, ex1.scenario.bounds, [(-1.0, 1.0)], samples=10)
         with pytest.raises(ValueError):
             spot_check_bounds(ex1.system, ex1.scenario.bounds, [(1.0, -1.0), (-1.0, 1.0)], samples=10)
+        # non-finite ends, and a span hi - lo that overflows, are refused up
+        # front rather than by numpy's OverflowError
+        for first in ((-2.0, math.nan), (-math.inf, 2.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError):
+                spot_check_bounds(ex1.system, ex1.scenario.bounds, [first, (-2.0, 2.0)], samples=10)
+
+    def test_nan_drift_on_half_the_box_fails_there(self, ex1):
+        # f_2 is NaN on the half x_1 > 0 of the box and the pendulum's own
+        # drift elsewhere, where k_2 holds: exactly the NaN samples fail.
+        nans = []
+
+        def half_nan(xs):
+            nans.append(xs[0] > 0.0)
+            return math.nan if nans[-1] else ex1.system.f[1](xs)
+
+        system = replace(ex1.system, f=(ex1.system.f[0], half_nan))
+        box = [(-2.0, 2.0), (-2.0, 2.0)]
+        stage2 = spot_check_bounds(system, ex1.scenario.bounds, box).stages[1]
+        assert 0 < stage2.f_violations == sum(nans) < len(nans) == 2000
+        assert math.isnan(stage2.f_margin)
+        assert stage2.f_worst[0] > 0.0
+        assert stage2.g_violations == 0
+
+    def test_nan_gain_everywhere_fails_every_sample(self, ex1):
+        system = replace(ex1.system, g=(ex1.system.g[0], lambda xs: math.nan))
+        report = spot_check_bounds(system, ex1.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)])
+        assert not report.clean
+        assert report.stages[1].g_violations == 2000
+        assert math.isnan(report.stages[1].g_margin)
+        assert len(report.stages[1].g_worst) == 2
+        assert all(-2.0 <= v <= 2.0 for v in report.stages[1].g_worst)
+
+    def test_margin_reducer_rule(self):
+        # columns: a tie, signed zeros, infinities, NaN among negatives
+        margins = np.array(
+            [
+                [1.0, -0.0, math.inf, 2.0],
+                [0.5, 0.0, math.inf, math.nan],
+                [0.5, -0.0, -math.inf, -1.0],
+                [2.0, 0.0, -math.inf, math.nan],
+            ]
+        )
+        lowest, count, rows, fails = _score_margins(margins)
+        assert rows == (1, 0, 2, 1)  # first occurrence of the minimum, or of NaN
+        assert lowest[:3] == (0.5, 0.0, -math.inf)
+        assert math.copysign(1.0, lowest[1]) == -1.0
+        assert math.isnan(lowest[3])
+        assert count == (0, 0, 2, 3)  # -0.0 passes, NaN fails
+        assert np.array_equal(fails, ~(margins >= 0.0))
+        assert [type(v) for v in (*lowest, *count, *rows)] == [float] * 4 + [int] * 8
 
 
 class TestSpecValidation:
