@@ -73,17 +73,15 @@ def _cmd_check(args) -> int:
 
 def _constants_line(spot, box) -> str:
     where = f"{spot.samples} samples of |xi| <= ({', '.join(f'{hi:g}' for _, hi in box)})"
-    broken = []
-    for s in spot.stages:
-        for name, count, margin, worst in (
-            ("k", s.f_violations, s.f_margin, s.f_worst),
-            ("g_lo/g_hi", s.g_violations, s.g_margin, s.g_worst),
-        ):
-            if count:
-                point = ", ".join(f"{x:.6g}" for x in worst)
-                broken.append(f"stage {s.stage} {name} fails {count} times, worst margin {margin:.3g} at ({point})")
+    broken = [
+        f"stage {i + 1} {f.name} fails {f.violations[i]} times, worst margin {f.min_margin[i]:.3g} "
+        f"at ({', '.join(f'{x:.6g}' for x in f.worst_at[i])})"
+        for i in range(len(box))  # stage-major, then family
+        for f in spot.families
+        if f.violations[i]
+    ]
     if not broken:
-        return f"constants: k, g_lo/g_hi hold in all {where}"
+        return f"constants: {', '.join(f.name for f in spot.families)} hold in all {where}"
     return f"constants: VIOLATED in {where}: " + "; ".join(broken)
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 
@@ -331,20 +330,13 @@ def load_scenario(path) -> ResolvedConfig:
     return resolve_config(cfg)
 
 
-class BuiltinExample(NamedTuple):
-    system: SystemSpec
-    reference: ReferenceSpec
-    scenario: Scenario
-
-
-def builtin_system(name: str) -> BuiltinExample:
-    """Load a built-in example from its bundled config.
+def builtin_system(name: str) -> ResolvedConfig:
+    """Load a built-in example from its bundled config: its scenario and region.
 
     ``pendulum_ex1`` is the paper's pendulum and ``nonlinear_ex2`` its
     sine-drift chain; ``dump_defaults(name)`` prints the constants.
     """
-    scenario = resolve_config(json.loads(dump_defaults(name))).scenario
-    return BuiltinExample(system=scenario.system, reference=scenario.reference, scenario=scenario)
+    return resolve_config(json.loads(dump_defaults(name)))
 
 
 def dump_defaults(name: str = "pendulum_ex1") -> str:

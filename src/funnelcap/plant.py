@@ -1,5 +1,7 @@
 """Cascaded (pure-feedback) plant models, references, the two parametric
-families, and spot checks of declared constants.
+families, and the scoring of sampled bounds: the spot check of declared
+constants here, and the simulator's monitor, both report their evidence as
+``BoundFamilyReport`` families scored by one rule, ``_score_margins``.
 
 A plant of order n is described by per-stage scalar oracles:
 
@@ -31,6 +33,7 @@ __all__ = [
     "sine_reference",
     "pendulum_system",
     "sine_chain_system",
+    "BoundFamilyReport",
     "spot_check_bounds",
 ]
 
@@ -183,42 +186,48 @@ def _score_margins(margins: np.ndarray) -> tuple[tuple, tuple, tuple, np.ndarray
 
 
 @dataclass(frozen=True)
-class SpotCheckStage:
-    """Numeric evidence for one stage: worst margins of the declared bounds.
+class BoundFamilyReport:
+    """Worst margins for one family of sampled bounds, per stage.
 
-    f_margin is min over samples of k_i*||prefix|| - |f_i(prefix)|; g_margin is
-    min of (g_i - g_lo_i, g_hi_i - g_i).  Negative margins mean the declared
-    constant is violated at ``*_worst`` (reported, never silently corrected);
-    a NaN oracle value is a violation too (see ``_score_margins``).
+    min_margin[i] is the minimum over samples; violations[i] counts samples
+    with a negative or NaN margin; worst_at[i] is where the minimum (or the
+    first NaN) occurred: a sample time for the monitor, the stage's state
+    prefix for the constants spot check.  All three come from
+    ``_score_margins``.
     """
 
-    stage: int
-    f_margin: float
-    f_violations: int
-    f_worst: tuple[float, ...]
-    g_margin: float
-    g_violations: int
-    g_worst: tuple[float, ...]
+    name: str
+    min_margin: tuple[float, ...]
+    violations: tuple[int, ...]
+    worst_at: tuple
 
 
 @dataclass(frozen=True)
 class SpotCheckReport:
-    stages: tuple[SpotCheckStage, ...]
+    """The declared constants as bound families over ``samples`` draws:
+    ``k`` has margins k_i*||prefix|| - |f_i(prefix)|, ``g_lo/g_hi`` has
+    min(g_i - g_lo_i, g_hi_i - g_i).  A negative or NaN margin means the
+    constant is violated at ``worst_at`` (reported, never silently corrected).
+    """
+
+    families: tuple[BoundFamilyReport, ...]
     samples: int
 
     @property
     def clean(self) -> bool:
-        return all(s.f_violations == 0 and s.g_violations == 0 for s in self.stages)
+        return not any(any(f.violations) for f in self.families)
 
 
 def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed: int = 0) -> SpotCheckReport:
     """Sample the operating box and test the declared growth and gain constants.
 
-    ``box`` lists one finite (lo, hi) interval per state.  The check is
-    evidence, not proof: it reports worst margins and violation counts for
-    |f_i| <= k_i*||.|| and g_lo_i <= g_i <= g_hi_i over ``samples`` uniform
-    draws.
+    ``box`` lists one finite (lo, hi) interval per state, and ``bounds`` one
+    constant per stage.  The check is evidence, not proof: it reports worst
+    margins and violation counts for |f_i| <= k_i*||.|| and
+    g_lo_i <= g_i <= g_hi_i over ``samples`` uniform draws.
     """
+    if bounds.n != system.n:
+        raise ValueError(f"bounds cover {bounds.n} stages, system order is {system.n}")
     if len(box) != system.n:
         raise ValueError(f"box must list {system.n} intervals, got {len(box)}")
     if samples < 1:
@@ -231,25 +240,16 @@ def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed
         raise ValueError("box intervals must satisfy lo <= hi with a finite hi - lo")
     pts = rng.uniform(lo, hi, size=(samples, system.n))
 
-    f_m = np.empty_like(pts)
+    k_m = np.empty_like(pts)
     g_m = np.empty_like(pts)
     for i in range(system.n):
         k_i, g_lo_i, g_hi_i = bounds.k[i], bounds.g_lo[i], bounds.g_hi[i]
         prefixes = [tuple(row[: i + 1]) for row in pts]
-        f_m[:, i] = [k_i * math.sqrt(sum(x * x for x in xs)) - abs(system.f[i](xs)) for xs in prefixes]
+        k_m[:, i] = [k_i * math.sqrt(sum(x * x for x in xs)) - abs(system.f[i](xs)) for xs in prefixes]
         g_m[:, i] = [min(g - g_lo_i, g_hi_i - g) for g in map(system.g[i], prefixes)]
-    f_margin, f_viol, f_row, _ = _score_margins(f_m)
-    g_margin, g_viol, g_row, _ = _score_margins(g_m)
-    stages = tuple(
-        SpotCheckStage(
-            stage=i + 1,
-            f_margin=f_margin[i],
-            f_violations=f_viol[i],
-            f_worst=tuple(pts[f_row[i], : i + 1]),
-            g_margin=g_margin[i],
-            g_violations=g_viol[i],
-            g_worst=tuple(pts[g_row[i], : i + 1]),
-        )
-        for i in range(system.n)
-    )
-    return SpotCheckReport(stages=stages, samples=samples)
+    families = []
+    for name, margins in (("k", k_m), ("g_lo/g_hi", g_m)):
+        min_margin, violations, rows, _ = _score_margins(margins)
+        worst_at = tuple(tuple(pts[row, : i + 1].tolist()) for i, row in enumerate(rows))
+        families.append(BoundFamilyReport(name, min_margin, violations, worst_at))
+    return SpotCheckReport(families=tuple(families), samples=samples)

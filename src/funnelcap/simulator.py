@@ -27,7 +27,7 @@ import numpy as np
 from .controller import THETA_EPS, CascadeConfig, cascade
 from .feasibility import BoundsSpec, check_feasibility
 from .funnel import funnel_value
-from .plant import DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
+from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
 
 __all__ = [
     "Scenario",
@@ -35,7 +35,6 @@ __all__ = [
     "Trajectory",
     "TrivialConditionError",
     "simulate",
-    "BoundFamilyReport",
     "MonitorReport",
     "monitor",
     "write_trajectory_csv",
@@ -269,21 +268,6 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
 
 
 @dataclass(frozen=True)
-class BoundFamilyReport:
-    """Worst margins for one analytical bound family, per stage.
-
-    min_margin[i] is the minimum over samples; violations[i] counts samples
-    with a negative or NaN margin; worst_t[i] is where the minimum (or the
-    first NaN) occurred.  Scored like the constants spot check.
-    """
-
-    name: str
-    min_margin: tuple[float, ...]
-    violations: tuple[int, ...]
-    worst_t: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MonitorReport:
     families: tuple[BoundFamilyReport, ...]
     events: tuple[Event, ...]
@@ -422,5 +406,5 @@ def write_monitor_csv(report: MonitorReport, path) -> None:
             for i in range(len(fam.min_margin)):
                 fh.write(
                     f"{fam.name},{i + 1},{_fmt(fam.min_margin[i])},"
-                    f"{_fmt(fam.worst_t[i])},{fam.violations[i]}\n"
+                    f"{_fmt(fam.worst_at[i])},{fam.violations[i]}\n"
                 )

@@ -48,7 +48,7 @@ class TestCheck:
         assert "verdict: FEASIBLE" in out
         assert "constants: k, g_lo/g_hi hold in all 2000 samples of |xi| <= (2, 5.9)" in out
 
-    def test_violated_constant_exits_one(self, ex2_config_path, capsys):
+    def test_violated_constant_exits_one(self, ex2_config_path, tmp_path, capsys):
         # The certificate holds on paper, but the declared k_2 = 1 fails on
         # the certificate's own state box, so the verdict has no footing.
         assert main(["check", str(ex2_config_path)]) == 1
@@ -56,6 +56,17 @@ class TestCheck:
         assert "verdict: FEASIBLE" in out
         assert "constants: VIOLATED in 2000 samples of |xi| <= (1.5, 1.4): stage 2 k fails" in out
         assert "stage 1" not in out.split("constants:")[1]
+        # Three broken constants over two stages are listed stage-major, each
+        # worst point being the stage's own state prefix.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        cfg["bounds"].update(k=[0, 1], g_lo=[2, 150], g_hi=[2, 150])
+        assert main(["check", str(write_cfg(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "constants: VIOLATED in 2000 samples of |xi| <= (2, 5.9): "
+            "stage 1 g_lo/g_hi fails 2000 times, worst margin -1 at (0.547847); "
+            "stage 2 k fails 1553 times, worst margin -10.5 at (1.55426, 4.90592); "
+            "stage 2 g_lo/g_hi fails 2000 times, worst margin -50 at (0.547847, -2.71652)"
+        )
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))

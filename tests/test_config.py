@@ -239,9 +239,9 @@ class TestFamilies:
         cfg["system"] = {"family": "sine_chain", "disturbance": [[0.2, 1.0], [0.5, 1.0]]}
         sc = resolve_config(cfg).scenario
         for xs in ((0.3, -0.4), (1.0, 1.0)):
-            assert sc.system.f[0](xs[:1]) == ex2.system.f[0](xs[:1])
-            assert sc.system.f[1](xs) == ex2.system.f[1](xs)
-            assert sc.system.g[1](xs) == ex2.system.g[1](xs)
+            assert sc.system.f[0](xs[:1]) == ex2.scenario.system.f[0](xs[:1])
+            assert sc.system.f[1](xs) == ex2.scenario.system.f[1](xs)
+            assert sc.system.g[1](xs) == ex2.scenario.system.g[1](xs)
 
     def test_family_requires_all_sections(self):
         cfg = ex2_cfg()

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,8 +10,10 @@ from funnelcap import (
     DynamicsError,
     SystemSpec,
     builtin_system,
+    dump_defaults,
     eval_dynamics,
     pendulum_system,
+    resolve_config,
     sine_chain_system,
     sine_signal,
     spot_check_bounds,
@@ -75,22 +78,24 @@ class TestEvalDynamics:
 
 class TestBuiltins:
     def test_pendulum_example_constants(self, ex1):
-        assert ex1.system.g[1]((0.0, 0.0)) == 100.0
-        assert ex1.system.g[1]((2.3, -1.7)) == 100.0
-        assert ex1.system.g[0]((0.0,)) == 1.0
+        assert ex1.scenario.system.g[1]((0.0, 0.0)) == 100.0
+        assert ex1.scenario.system.g[1]((2.3, -1.7)) == 100.0
+        assert ex1.scenario.system.g[0]((0.0,)) == 1.0
         assert ex1.scenario.x0 == (-0.5, 1.0)
-        assert ex1.system.d[0](1.3) == 0.0
-        assert ex1.system.d[1](math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
-        assert ex1.reference.y_d(math.pi) == pytest.approx(1.0, rel=1e-12)
-        assert ex1.reference.y_d_rate(0.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex1.scenario.system.d[0](1.3) == 0.0
+        assert ex1.scenario.system.d[1](math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex1.scenario.reference.y_d(math.pi) == pytest.approx(1.0, rel=1e-12)
+        assert ex1.scenario.reference.y_d_rate(0.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex1.region.template == resolve_config(json.loads(dump_defaults("pendulum_ex1"))).region.template
 
     def test_nonlinear_example_constants(self, ex2):
-        assert ex2.system.g[0]((0.0,)) == 5.0
-        assert ex2.system.g[1]((0.0, 0.0)) == 7.0
+        assert ex2.scenario.system.g[0]((0.0,)) == 5.0
+        assert ex2.scenario.system.g[1]((0.0, 0.0)) == 7.0
         assert ex2.scenario.x0 == (0.5, -0.8)
-        assert ex2.system.d[0](math.pi / 2.0) == pytest.approx(0.2, rel=1e-12)
-        assert ex2.system.d[1](math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
-        assert ex2.reference.y_d(math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex2.scenario.system.d[0](math.pi / 2.0) == pytest.approx(0.2, rel=1e-12)
+        assert ex2.scenario.system.d[1](math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex2.scenario.reference.y_d(math.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert ex2.region.template == resolve_config(json.loads(dump_defaults("nonlinear_ex2"))).region.template
 
     def test_scenario_defaults(self, ex1):
         sc = ex1.scenario
@@ -109,33 +114,41 @@ class TestSpotCheck:
     def test_declared_growth_constant_fails_for_second_example(self, ex2):
         # |sin(x1) + x2| exceeds 1*||(x1, x2)|| at e.g. (1, 1): the declared
         # constant is optimistic and the check must surface that, not fix it.
-        report = spot_check_bounds(ex2.system, ex2.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)], samples=4000, seed=3)
-        stage2 = report.stages[1]
-        assert stage2.f_violations > 0
-        assert stage2.f_margin < 0.0
+        report = spot_check_bounds(ex2.scenario.system, ex2.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)], samples=4000, seed=3)
+        k = report.families[0]
+        assert k.name == "k"
+        assert k.violations[1] > 0
+        assert k.min_margin[1] < 0.0
         assert not report.clean
 
     def test_violation_exists_at_known_point(self, ex2):
         k2 = ex2.scenario.bounds.k[1]
-        lhs = abs(ex2.system.f[1]((1.0, 1.0)))
+        lhs = abs(ex2.scenario.system.f[1]((1.0, 1.0)))
         assert lhs > k2 * math.hypot(1.0, 1.0)
 
     def test_pendulum_bounds_hold_on_box(self, ex1):
-        report = spot_check_bounds(ex1.system, ex1.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)], samples=4000, seed=3)
-        assert all(s.f_violations == 0 for s in report.stages)
-        assert all(s.g_violations == 0 for s in report.stages)
-        assert all(s.f_margin >= 0.0 for s in report.stages)
+        report = spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)], samples=4000, seed=3)
+        assert [f.name for f in report.families] == ["k", "g_lo/g_hi"]
+        assert all(f.violations == (0, 0) for f in report.families)
+        assert all(m >= 0.0 for m in report.families[0].min_margin)
+        assert report.clean
 
     def test_rejects_bad_box(self, ex1):
         with pytest.raises(ValueError):
-            spot_check_bounds(ex1.system, ex1.scenario.bounds, [(-1.0, 1.0)], samples=10)
+            spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(-1.0, 1.0)], samples=10)
         with pytest.raises(ValueError):
-            spot_check_bounds(ex1.system, ex1.scenario.bounds, [(1.0, -1.0), (-1.0, 1.0)], samples=10)
+            spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(1.0, -1.0), (-1.0, 1.0)], samples=10)
         # non-finite ends, and a span hi - lo that overflows, are refused up
         # front rather than by numpy's OverflowError
         for first in ((-2.0, math.nan), (-math.inf, 2.0), (-1e308, 1e308)):
             with pytest.raises(ValueError):
-                spot_check_bounds(ex1.system, ex1.scenario.bounds, [first, (-2.0, 2.0)], samples=10)
+                spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [first, (-2.0, 2.0)], samples=10)
+        # bounds must cover exactly the system's stages: 1 and 3 are refused
+        b = ex1.scenario.bounds
+        for count in (1, 3):
+            lists = {name: (getattr(b, name) * 2)[:count] for name in ("k", "g_lo", "g_hi", "d_bar")}
+            with pytest.raises(ValueError, match="bounds cover"):
+                spot_check_bounds(ex1.scenario.system, replace(b, **lists), [(-2.0, 2.0), (-2.0, 2.0)], samples=10)
 
     def test_nan_drift_on_half_the_box_fails_there(self, ex1):
         # f_2 is NaN on the half x_1 > 0 of the box and the pendulum's own
@@ -144,24 +157,26 @@ class TestSpotCheck:
 
         def half_nan(xs):
             nans.append(xs[0] > 0.0)
-            return math.nan if nans[-1] else ex1.system.f[1](xs)
+            return math.nan if nans[-1] else ex1.scenario.system.f[1](xs)
 
-        system = replace(ex1.system, f=(ex1.system.f[0], half_nan))
+        system = replace(ex1.scenario.system, f=(ex1.scenario.system.f[0], half_nan))
         box = [(-2.0, 2.0), (-2.0, 2.0)]
-        stage2 = spot_check_bounds(system, ex1.scenario.bounds, box).stages[1]
-        assert 0 < stage2.f_violations == sum(nans) < len(nans) == 2000
-        assert math.isnan(stage2.f_margin)
-        assert stage2.f_worst[0] > 0.0
-        assert stage2.g_violations == 0
+        k, g = spot_check_bounds(system, ex1.scenario.bounds, box).families
+        assert 0 < k.violations[1] == sum(nans) < len(nans) == 2000
+        assert math.isnan(k.min_margin[1])
+        assert k.worst_at[1][0] > 0.0
+        assert g.violations[1] == 0
 
     def test_nan_gain_everywhere_fails_every_sample(self, ex1):
-        system = replace(ex1.system, g=(ex1.system.g[0], lambda xs: math.nan))
+        system = replace(ex1.scenario.system, g=(ex1.scenario.system.g[0], lambda xs: math.nan))
         report = spot_check_bounds(system, ex1.scenario.bounds, [(-2.0, 2.0), (-2.0, 2.0)])
         assert not report.clean
-        assert report.stages[1].g_violations == 2000
-        assert math.isnan(report.stages[1].g_margin)
-        assert len(report.stages[1].g_worst) == 2
-        assert all(-2.0 <= v <= 2.0 for v in report.stages[1].g_worst)
+        g = report.families[1]
+        assert g.name == "g_lo/g_hi"
+        assert g.violations[1] == 2000
+        assert math.isnan(g.min_margin[1])
+        assert len(g.worst_at[1]) == 2
+        assert all(-2.0 <= v <= 2.0 for v in g.worst_at[1])
 
     def test_margin_reducer_rule(self):
         # columns: a tie, signed zeros, infinities, NaN among negatives

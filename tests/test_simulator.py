@@ -141,7 +141,7 @@ class TestMonitor:
         report = fc.monitor(edited, ex1.scenario.controller, ex1.scenario.bounds)
         fam = report.family("error_envelope")
         assert fam.violations == (1, 0)
-        assert fam.worst_t[0] == pytest.approx(ex1_trajectory.t[k])
+        assert fam.worst_at[0] == pytest.approx(ex1_trajectory.t[k])
         assert len(report.events) == 1
         assert report.events[0].kind == "violation_error_envelope"
         assert report.events[0].stage == 1
