@@ -302,8 +302,10 @@ def _region(section, scenario: Scenario) -> RegionSpec:
     axes = []
     for key, size in zip(("x_range", "y_range"), grid):
         rng = _number_list(region[key], f"$.region.{key}", length=2)
-        if rng[0] >= rng[1]:
-            _fail(f"$.region.{key}", f"range must satisfy lo < hi, got {rng}")
+        # A finite hi - lo is the rule spot_check_bounds applies to its box;
+        # past it np.linspace yields non-finite axes.
+        if not (rng[0] < rng[1] and math.isfinite(rng[1] - rng[0])):
+            _fail(f"$.region.{key}", f"range must satisfy lo < hi with a finite hi - lo, got {rng}")
         axes.append(np.linspace(rng[0], rng[1], size))
     probes = (scenario.x0,)
     if "probe_points" in region:
@@ -322,7 +324,10 @@ def _region(section, scenario: Scenario) -> RegionSpec:
 def load_scenario(path) -> ResolvedConfig:
     """Read a config file and resolve it."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:

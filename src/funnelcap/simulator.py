@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# Per-stage trajectory columns, in table and CSV order: each is n wide and
+# sits between the t column and the y_d column.
+_STAGE_COLUMNS = ("xi", "z", "theta", "u", "psi")
+
+
 class TrivialConditionError(RuntimeError):
     """The initial errors are not strictly inside their envelopes (|z_i(0)| >= p_i)."""
 
@@ -176,11 +181,12 @@ def _control_path(config: CascadeConfig, reference):
 def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     """Integrate the closed loop and record states, errors, and stage outputs.
 
-    The start must satisfy |z_i(0)| < psi_i(0) for every stage; violations
-    raise TrivialConditionError unless ``permissive`` is set, in which case
-    they are logged and the clamped controller runs anyway.  A non-finite
-    state aborts with DynamicsError at the failure time.  Identical scenarios
-    produce bit-identical trajectories.
+    The start must satisfy |z_i(0)| < psi_i(0) for every stage; it is read
+    from recorded sample 0, with psi_i(0) from the envelope formula.
+    Violations raise TrivialConditionError unless ``permissive`` is set, in
+    which case they are logged and the clamped controller runs anyway.  A
+    non-finite state aborts with DynamicsError at the failure time.  Identical
+    scenarios produce bit-identical trajectories.
     """
     sys_ = scenario.system
     ref = scenario.reference
@@ -192,14 +198,9 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     m = scenario.substeps
     h_sub = h / m
 
-    t_arr = np.empty(samples)
-    xi_arr = np.empty((samples, n))
-    z_arr = np.empty((samples, n))
-    th_arr = np.empty((samples, n))
-    u_arr = np.empty((samples, n))
-    psi_arr = np.empty((samples, n))
-    yd_arr = np.empty(samples)
+    table = np.empty((samples, len(_STAGE_COLUMNS) * n + 2))
     events: list[Event] = []
+    funnels = [stage.funnel for stage in cfg.stages]
 
     u_last = _control_path(cfg, ref)
 
@@ -207,33 +208,24 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
         return eval_dynamics(sys_, state, u_last(state, t), t)
 
     state = list(scenario.x0)
-
-    # Start-condition check against the envelopes at t = 0.
-    dec0 = cascade(state, 0.0, cfg, ref)
-    for i, stage in enumerate(cfg.stages):
-        psi0 = funnel_value(stage.funnel, 0.0)
-        if abs(dec0.z[i]) >= psi0:
-            if not permissive:
-                raise TrivialConditionError(
-                    f"|z_{i + 1}(0)| = {abs(dec0.z[i]):.6g} is not strictly inside "
-                    f"psi_{i + 1}(0) = {psi0:.6g}; pass permissive=True to run clamped"
-                )
-            events.append(Event(t=0.0, kind="trivial_violation", stage=i + 1, value=dec0.z[i]))
-
     range_n = range(n)
     for k in range(samples):
         t_k = k * h
         dec = cascade(state, t_k, cfg, ref)
-        t_arr[k] = t_k
-        yd_arr[k] = ref.y_d(t_k)
+        psi = [funnel_value(f, t_k) for f in funnels]
+        if k == 0:
+            for i in range_n:
+                if abs(dec.z[i]) >= psi[i]:
+                    if not permissive:
+                        raise TrivialConditionError(
+                            f"|z_{i + 1}(0)| = {abs(dec.z[i]):.6g} is not strictly inside "
+                            f"psi_{i + 1}(0) = {psi[i]:.6g}; pass permissive=True to run clamped"
+                        )
+                    events.append(Event(t=0.0, kind="trivial_violation", stage=i + 1, value=dec.z[i]))
         for i in range_n:
-            xi_arr[k, i] = state[i]
-            z_arr[k, i] = dec.z[i]
-            th_arr[k, i] = dec.theta[i]
-            u_arr[k, i] = dec.u[i]
-            psi_arr[k, i] = funnel_value(cfg.stages[i].funnel, t_k)
             if dec.saturated[i]:
-                events.append(Event(t=t_k, kind="saturation", stage=i + 1, value=dec.z[i] / psi_arr[k, i]))
+                events.append(Event(t=t_k, kind="saturation", stage=i + 1, value=dec.z[i] / psi[i]))
+        table[k] = (t_k, *state, *dec.z, *dec.theta, *dec.u, *psi, ref.y_d(t_k))
         if k == steps:
             break
 
@@ -255,15 +247,9 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
                 if not math.isfinite(state[j]):
                     raise DynamicsError(j + 1, t_s + h_sub, state[j])
 
+    stage_cols = np.split(table[:, 1:-1], len(_STAGE_COLUMNS), axis=1)
     return Trajectory(
-        t=t_arr,
-        xi=xi_arr,
-        z=z_arr,
-        theta=th_arr,
-        u=u_arr,
-        psi=psi_arr,
-        y_d=yd_arr,
-        events=tuple(events),
+        t=table[:, 0], **dict(zip(_STAGE_COLUMNS, stage_cols)), y_d=table[:, -1], events=tuple(events)
     )
 
 
@@ -365,22 +351,10 @@ _CSV_BLOCK_ROWS = 1024
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per sample: t, xi_1..n, z_1..n, theta_1..n, u_1..n, psi_1..n, y_d."""
     n = trajectory.n
-    cols = (
-        ["t"]
-        + [f"xi_{i + 1}" for i in range(n)]
-        + [f"z_{i + 1}" for i in range(n)]
-        + [f"theta_{i + 1}" for i in range(n)]
-        + [f"u_{i + 1}" for i in range(n)]
-        + [f"psi_{i + 1}" for i in range(n)]
-        + ["y_d"]
-    )
+    cols = ["t", *(f"{name}_{i + 1}" for name in _STAGE_COLUMNS for i in range(n)), "y_d"]
     blocks = (
         trajectory.t[:, None],
-        trajectory.xi,
-        trajectory.z,
-        trajectory.theta,
-        trajectory.u,
-        trajectory.psi,
+        *(getattr(trajectory, name) for name in _STAGE_COLUMNS),
         trajectory.y_d[:, None],
     )
     line = ",".join(["%.17g"] * len(cols)) + "\n"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "broken.json:1:" in err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "utf16.json" in err
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -204,6 +213,19 @@ class TestRegion:
         del cfg["region"]
         path = write_cfg(tmp_path, cfg)
         assert main(["region", str(path), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("key", ["x_range", "y_range"])
+    def test_overflowing_range_exits_two(self, key, tmp_path, capsys):
+        # hi - lo overflows to inf although both ends are finite.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        cfg["region"][key] = [-1e308, 1e308]
+        path = write_cfg(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["region", str(path), "--out", str(tmp_path / "r")]) == 2
+            assert f"at $.region.{key}: " in capsys.readouterr().err
+            assert main(["check", str(path)]) == 2
+            assert f"at $.region.{key}: " in capsys.readouterr().err
 
     def test_bad_grid_flag_exits_two(self, ex1_config_path, tmp_path):
         assert main(["region", str(ex1_config_path), "--out", str(tmp_path / "r"), "--grid", "axb"]) == 2

@@ -77,6 +77,27 @@ class TestSimulate:
         assert any(e.kind == "trivial_violation" and e.stage == 1 and e.t == 0.0 for e in traj.events)
         assert "saturation" in kinds
         assert np.all(np.abs(traj.u[:, -1]) < 8.0)
+        # The start check reads sample 0: each failing stage logs its z_i(0),
+        # ahead of every clamp event at t = 0.
+        trivial = [j for j, e in enumerate(traj.events) if e.kind == "trivial_violation"]
+        failing = np.flatnonzero(np.abs(traj.z[0]) >= traj.psi[0]) + 1
+        assert [traj.events[j].stage for j in trivial] == failing.tolist()
+        for j in trivial:
+            assert traj.events[j].value == traj.z[0, traj.events[j].stage - 1]
+        start_clamps = [j for j, e in enumerate(traj.events) if e.kind == "saturation" and e.t == 0.0]
+        assert start_clamps and max(trivial) < min(start_clamps)
+
+    def test_one_cascade_evaluation_per_sample(self, ex1, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return fc.cascade(*args)
+
+        monkeypatch.setattr("funnelcap.simulator.cascade", counted)
+        traj = fc.simulate(ex1.scenario.with_overrides(horizon=0.05))
+        assert len(calls) == traj.samples
+        assert calls == traj.t.tolist()
 
     def test_dynamics_blowup_aborts_with_time(self):
         system = fc.SystemSpec(n=1, f=(lambda xs: xs[0] * xs[0],), g=(lambda xs: 1e-6,), d=(fc.zero_signal,))
