@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_FAIL
 

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (201, 201)
-DEFAULT_STEP = 1e-3
 
 # The built-in examples by name: the bundled config each one is read from.
 _CONFIG_FILES = {"pendulum_ex1": "ex1_pendulum.json", "nonlinear_ex2": "ex2_nonlinear.json"}
@@ -212,7 +211,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     sim = _mapping(cfg["sim"], "$.sim", {"x0", "horizon", "step", "substeps"}, {"x0", "horizon"})
     x0 = _number_list(sim["x0"], "$.sim.x0", length=system.n)
     horizon = _number(sim["horizon"], "$.sim.horizon", positive=True)
-    step = _number(sim["step"], "$.sim.step", positive=True) if "step" in sim else DEFAULT_STEP
+    step = _number(sim["step"], "$.sim.step", positive=True) if "step" in sim else Scenario.step
     substeps = sim.get("substeps")
     if "substeps" in sim and not _is_count(substeps, 1):
         _fail("$.sim.substeps", f"expected an integer >= 1, got {substeps!r}")
@@ -254,7 +253,7 @@ def _stage(st, where: str) -> tuple:
     """Read one stage: (v_bar, c, p, delta, q, mu), with one of p and delta None."""
     _mapping(st, where, {"v_bar", "c", "funnel"}, {"v_bar", "funnel"})
     v_bar = _number(st["v_bar"], f"{where}.v_bar", positive=True)
-    c = _number(st["c"], f"{where}.c", positive=True) if "c" in st else math.pi / 2.0
+    c = _number(st["c"], f"{where}.c", positive=True) if "c" in st else StageControllerParams.c
     fu = _mapping(st["funnel"], f"{where}.funnel", {"p", "delta", "q", "mu"}, {"q", "mu"})
     q = _number(fu["q"], f"{where}.funnel.q", positive=True)
     mu = _number(fu["mu"], f"{where}.funnel.mu", positive=True)

@@ -73,11 +73,13 @@ class CascadeConfig:
 @dataclass(frozen=True)
 class CascadeDecision:
     """Cascade evaluation at one (state, t): errors z, normalized errors theta
-    (after clamping), stage outputs u, and per-stage clamp flags."""
+    (after clamping), stage outputs u, the envelope values psi each z_i was
+    divided by, and per-stage clamp flags."""
 
     z: tuple[float, ...]
     theta: tuple[float, ...]
     u: tuple[float, ...]
+    psi: tuple[float, ...]
     saturated: tuple[bool, ...]
 
 
@@ -150,14 +152,15 @@ def cascade(state, t: float, config: CascadeConfig, reference) -> CascadeDecisio
 
     z_1 is the tracking error against reference.y_d(t); each later z_i is the
     deviation of state i from the previous stage's output.  Each theta_i is
-    z_i divided by its funnel value, clamped just inside (-1, 1) if discrete
-    integration pushed it out (flagged in ``saturated``).
+    z_i divided by its funnel value psi_i(t), clamped just inside (-1, 1) if
+    discrete integration pushed it out (flagged in ``saturated``).
     """
     if len(state) != config.n:
         raise ValueError(f"state has length {len(state)}, expected {config.n}")
     z: list[float] = []
     theta: list[float] = []
     u: list[float] = []
+    psi: list[float] = []
     saturated: list[bool] = []
     prev = reference.y_d(t)
     for xi_i, stage in zip(state, config.stages):
@@ -171,6 +174,7 @@ def cascade(state, t: float, config: CascadeConfig, reference) -> CascadeDecisio
         z.append(z_i)
         theta.append(theta_i)
         u.append(u_i)
+        psi.append(psi_i)
         saturated.append(sat_i)
         prev = u_i
-    return CascadeDecision(z=tuple(z), theta=tuple(theta), u=tuple(u), saturated=tuple(saturated))
+    return CascadeDecision(z=tuple(z), theta=tuple(theta), u=tuple(u), psi=tuple(psi), saturated=tuple(saturated))

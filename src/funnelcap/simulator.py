@@ -26,7 +26,6 @@ import numpy as np
 
 from .controller import THETA_EPS, CascadeConfig, cascade
 from .feasibility import BoundsSpec, check_feasibility
-from .funnel import funnel_value
 from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
 
 __all__ = [
@@ -181,8 +180,9 @@ def _control_path(config: CascadeConfig, reference):
 def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     """Integrate the closed loop and record states, errors, and stage outputs.
 
-    The start must satisfy |z_i(0)| < psi_i(0) for every stage; it is read
-    from recorded sample 0, with psi_i(0) from the envelope formula.
+    Each sample's z, theta, u and psi come from one cascade evaluation, psi_i
+    being the envelope value that z_i was divided by.  The start must satisfy
+    |z_i(0)| < psi_i(0) for every stage; it is read from recorded sample 0.
     Violations raise TrivialConditionError unless ``permissive`` is set, in
     which case they are logged and the clamped controller runs anyway.  A
     non-finite state aborts with DynamicsError at the failure time.  Identical
@@ -200,7 +200,6 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
 
     table = np.empty((samples, len(_STAGE_COLUMNS) * n + 2))
     events: list[Event] = []
-    funnels = [stage.funnel for stage in cfg.stages]
 
     u_last = _control_path(cfg, ref)
 
@@ -212,20 +211,19 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     for k in range(samples):
         t_k = k * h
         dec = cascade(state, t_k, cfg, ref)
-        psi = [funnel_value(f, t_k) for f in funnels]
         if k == 0:
             for i in range_n:
-                if abs(dec.z[i]) >= psi[i]:
+                if abs(dec.z[i]) >= dec.psi[i]:
                     if not permissive:
                         raise TrivialConditionError(
                             f"|z_{i + 1}(0)| = {abs(dec.z[i]):.6g} is not strictly inside "
-                            f"psi_{i + 1}(0) = {psi[i]:.6g}; pass permissive=True to run clamped"
+                            f"psi_{i + 1}(0) = {dec.psi[i]:.6g}; pass permissive=True to run clamped"
                         )
                     events.append(Event(t=0.0, kind="trivial_violation", stage=i + 1, value=dec.z[i]))
         for i in range_n:
             if dec.saturated[i]:
-                events.append(Event(t=t_k, kind="saturation", stage=i + 1, value=dec.z[i] / psi[i]))
-        table[k] = (t_k, *state, *dec.z, *dec.theta, *dec.u, *psi, ref.y_d(t_k))
+                events.append(Event(t=t_k, kind="saturation", stage=i + 1, value=dec.z[i] / dec.psi[i]))
+        table[k] = (t_k, *state, *dec.z, *dec.theta, *dec.u, *dec.psi, ref.y_d(t_k))
         if k == steps:
             break
 
@@ -277,25 +275,6 @@ class MonitorReport:
         return "\n".join(lines)
 
 
-def _family(name: str, margins: np.ndarray, t: np.ndarray) -> tuple[BoundFamilyReport, list[Event]]:
-    min_margin, violations, rows, fails = _score_margins(margins)
-    events = [
-        Event(t=float(t[k]), kind=f"violation_{name}", stage=i + 1, value=float(margins[k, i]))
-        for i, col in enumerate(fails.T)
-        for k in np.flatnonzero(col)
-    ]
-    return BoundFamilyReport(name, min_margin, violations, tuple(t[list(rows)].tolist())), events
-
-
-def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    """Column-wise time derivative: central differences inside, one-sided at the ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (values[1] - values[0]) / h
-    out[-1] = (values[-1] - values[-2]) / h
-    return out
-
-
 def monitor(trajectory: Trajectory, config: CascadeConfig, bounds: BoundsSpec) -> MonitorReport:
     """Check the four guaranteed bound families at every recorded sample.
 
@@ -304,10 +283,13 @@ def monitor(trajectory: Trajectory, config: CascadeConfig, bounds: BoundsSpec) -
     state_envelope   |xi_i| < psi_i + v_bar_{i-1}  (v_bar_0 is the reference bound)
     output_slew      |du_i/dt| <= r_i, the certified slew bound, with du/dt
                      estimated by central differences of the recorded outputs
+                     (one-sided at both ends), so its margin depends on the step
 
-    Margins are the bound minus the observed magnitude, so negative (or NaN)
-    means violated.  Returns per-family worst margins, violation counts, and one
-    event per violating sample.
+    psi is the trajectory's own record, the envelope values the cascade
+    divided by.  Each family is one (name, bound, observed) row, scored on
+    margin = bound - |observed|, so negative (or NaN) means violated.  Returns
+    per-family worst margins, violation counts, and one event per violating
+    sample.
     """
     n = trajectory.n
     if config.n != n or bounds.n != n:
@@ -316,32 +298,27 @@ def monitor(trajectory: Trajectory, config: CascadeConfig, bounds: BoundsSpec) -
         raise ValueError("trajectory must hold at least two samples")
     t = trajectory.t
     h = float(t[1] - t[0])
-    v_bar = np.array([s.v_bar for s in config.stages])
-    v_prev = np.array([bounds.v0_bar, *[s.v_bar for s in config.stages[:-1]]])
+    caps = np.array([bounds.v0_bar, *(s.v_bar for s in config.stages)])  # v_bar_0..n
     # Certified slew bounds come from the same recursion as the feasibility check.
     r = np.array([s.r for s in check_feasibility(config, bounds, [0.0] * n).stages])
 
-    perf = trajectory.psi - np.abs(trajectory.z)
-    inp = v_bar[None, :] - np.abs(trajectory.u)
-    st = trajectory.psi + v_prev[None, :] - np.abs(trajectory.xi)
-    slew = r[None, :] - np.abs(_central_diff(trajectory.u, h))
-
     families = []
     events: list[Event] = []
-    for name, margins in (
-        ("error_envelope", perf),
-        ("input_cap", inp),
-        ("state_envelope", st),
-        ("output_slew", slew),
+    for name, bound, observed in (
+        ("error_envelope", trajectory.psi, trajectory.z),
+        ("input_cap", caps[1:], trajectory.u),
+        ("state_envelope", trajectory.psi + caps[:-1], trajectory.xi),
+        ("output_slew", r, np.gradient(trajectory.u, h, axis=0)),
     ):
-        fam, ev = _family(name, margins, t)
-        families.append(fam)
-        events.extend(ev)
+        margins = bound - np.abs(observed)
+        min_margin, violations, rows, fails = _score_margins(margins)
+        families.append(BoundFamilyReport(name, min_margin, violations, tuple(t[list(rows)].tolist())))
+        events.extend(
+            Event(t=float(t[k]), kind=f"violation_{name}", stage=i + 1, value=float(margins[k, i]))
+            for i, col in enumerate(fails.T)
+            for k in np.flatnonzero(col)
+        )
     return MonitorReport(families=tuple(families), events=tuple(events))
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 # Rows of the trajectory table formatted per write.
@@ -370,7 +347,7 @@ def write_events_csv(events: Sequence[Event], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,kind,stage,value\n")
         for e in events:
-            fh.write(f"{_fmt(e.t)},{e.kind},{e.stage},{_fmt(e.value)}\n")
+            fh.write(f"{e.t:.17g},{e.kind},{e.stage},{e.value:.17g}\n")
 
 
 def write_monitor_csv(report: MonitorReport, path) -> None:
@@ -379,6 +356,5 @@ def write_monitor_csv(report: MonitorReport, path) -> None:
         for fam in report.families:
             for i in range(len(fam.min_margin)):
                 fh.write(
-                    f"{fam.name},{i + 1},{_fmt(fam.min_margin[i])},"
-                    f"{_fmt(fam.worst_at[i])},{fam.violations[i]}\n"
+                    f"{fam.name},{i + 1},{fam.min_margin[i]:.17g},{fam.worst_at[i]:.17g},{fam.violations[i]}\n"
                 )

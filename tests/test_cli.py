@@ -29,6 +29,11 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == fc.dump_defaults("pendulum_ex1")
 
 
+def sha256_of(out):
+    names = ("trajectory.csv", "events.csv", "monitor.csv")
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 class TestDumpDefaults:
     def test_prints_bundled_text(self, capsys):
         assert main(["dump-defaults"]) == 0
@@ -120,8 +125,11 @@ class TestSimulate:
         z1 = data[:, cols.index("z_1")]
         psi1 = data[:, cols.index("psi_1")]
         assert np.all(np.abs(z1) < psi1)
-        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-        assert digest == "af23789943f71ad26aa27f92c90aefb6130201fc3961efedaf98095c72a8e035"
+        assert sha256_of(out) == {
+            "trajectory.csv": "af23789943f71ad26aa27f92c90aefb6130201fc3961efedaf98095c72a8e035",
+            "events.csv": "4a09f1d6ef30c97ca4dd9c7861342743977d5f26628ab17b2094c6ca55330053",
+            "monitor.csv": "f98b19e5c29a2b49c32703bae25dcdcd64705fb6638795e334d9aab83a55b2ed",
+        }
 
     def test_second_example_trajectory_bytes_are_pinned(self, ex2_config_path, tmp_path):
         out = tmp_path / "runout"
@@ -185,6 +193,18 @@ class TestSimulate:
             assert (out / name).exists()
         assert "violation_error_envelope" in (out / "events.csv").read_text()
         assert main(["simulate", str(path), "--out", str(out), "--permissive"]) == 0
+        digests = sha256_of(out)
+        assert digests["events.csv"] == "cbbb4cf47e438678b3ea74c4b830ec93d2b1b211de2fd423492eb595a66b4989"
+        assert digests["monitor.csv"] == "37573fafc18b091c714fe89c95091362c3026e7b149942e2567f77b6178a2e46"
+
+    def test_impossible_horizon_is_a_runtime_failure(self, ex1_config_path, tmp_path, capsys):
+        # 1e16 samples need far more than the address space: the sample table
+        # is refused at once, and reported like any other runtime failure.
+        out = tmp_path / "runout"
+        assert main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "1e13"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRegion:

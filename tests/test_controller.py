@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +10,10 @@ from funnelcap import (
     FunnelParams,
     ReferenceSpec,
     StageControllerParams,
+    builtin_system,
     cascade,
     clamp_theta,
+    funnel_value,
     gain_range,
     stage_control,
     stage_gain,
@@ -160,6 +163,17 @@ class TestCascade:
         assert dec.saturated[0]
         assert dec.theta[0] == 1.0 - 1e-9
         assert abs(dec.u[0]) < 4.5
+
+    @pytest.mark.parametrize("name", ["pendulum_ex1", "nonlinear_ex2"])
+    def test_psi_is_the_envelope_value_divided_by(self, name):
+        sc = builtin_system(name).scenario
+        stages = sc.controller.stages
+        rng = np.random.default_rng(7)
+        states = rng.uniform(-3.0, 3.0, (2000, sc.system.n)).tolist()
+        for state, t in zip(states, rng.uniform(0.0, 20.0, 2000).tolist()):
+            dec = cascade(state, t, sc.controller, sc.reference)
+            assert dec.psi == tuple(funnel_value(s.funnel, t) for s in stages)
+            assert dec.theta == tuple(clamp_theta(z / psi)[0] for z, psi in zip(dec.z, dec.psi))
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
