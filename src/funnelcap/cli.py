@@ -31,7 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the closed loop and write trajectory/event/monitor CSVs")
     p_sim.add_argument("config", help="path to a scenario config (JSON)")
     p_sim.add_argument("--out", default="out", metavar="DIR", help="output directory (default: out)")
-    p_sim.add_argument("--step", type=float, default=None, metavar="S", help="override integration step (s)")
+    p_sim.add_argument(
+        "--step", type=float, default=None, metavar="S", help="override the recording step (s); the RK4 sub-steps follow it"
+    )
     p_sim.add_argument("--horizon", type=float, default=None, metavar="S", help="override horizon (s)")
     p_sim.add_argument(
         "--permissive",

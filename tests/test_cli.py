@@ -126,16 +126,16 @@ class TestSimulate:
         psi1 = data[:, cols.index("psi_1")]
         assert np.all(np.abs(z1) < psi1)
         assert sha256_of(out) == {
-            "trajectory.csv": "af23789943f71ad26aa27f92c90aefb6130201fc3961efedaf98095c72a8e035",
+            "trajectory.csv": "ee4fb271fc356c082bdcc21ac30375643850ec842af2b2d7bec16a3c07ca813f",
             "events.csv": "4a09f1d6ef30c97ca4dd9c7861342743977d5f26628ab17b2094c6ca55330053",
-            "monitor.csv": "f98b19e5c29a2b49c32703bae25dcdcd64705fb6638795e334d9aab83a55b2ed",
+            "monitor.csv": "a808f4589546c50e5e67979ebe32fbedb74910228d4bd880ee93c9ad2b4b6279",
         }
 
     def test_second_example_trajectory_bytes_are_pinned(self, ex2_config_path, tmp_path):
         out = tmp_path / "runout"
         assert main(["simulate", str(ex2_config_path), "--out", str(out), "--horizon", "0.5"]) == 0
         digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-        assert digest == "f25e9781015b52be64e42bb71bd2f6713fcbe15229475904f08b546fbd96a03b"
+        assert digest == "53d07c41f75e411ebd86d6c30de5290563876a45d3b93e75b20170b7f4cb588a"
 
     def test_step_and_horizon_overrides(self, ex1_config_path, tmp_path):
         out = tmp_path / "runout"

@@ -10,7 +10,7 @@ from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path
 ZERO_REF = fc.ReferenceSpec(y_d=lambda t: 0.0, y_d_rate=lambda t: 0.0)
 
 
-def identity_scenario(horizon=1.0, step=1e-3):
+def identity_scenario(horizon=1.0, step=1e-3, p=1.0, substeps=1):
     """f = 0, g = 1, d = 0, y_d = 0, x0 = 0: nothing should ever move."""
     system = fc.SystemSpec(
         n=2,
@@ -21,13 +21,48 @@ def identity_scenario(horizon=1.0, step=1e-3):
     controller = fc.CascadeConfig(
         n=2,
         stages=(
-            fc.StageControllerParams(v_bar=1.0, funnel=fc.FunnelParams(p=1.0, q=0.1, mu=1.0)),
-            fc.StageControllerParams(v_bar=1.0, funnel=fc.FunnelParams(p=1.0, q=0.1, mu=1.0)),
+            fc.StageControllerParams(v_bar=1.0, funnel=fc.FunnelParams(p=p, q=0.1, mu=1.0)),
+            fc.StageControllerParams(v_bar=1.0, funnel=fc.FunnelParams(p=p, q=0.1, mu=1.0)),
         ),
     )
     return fc.Scenario(
-        system=system, reference=ZERO_REF, controller=controller, bounds=None, x0=(0.0, 0.0), horizon=horizon, step=step
+        system=system,
+        reference=ZERO_REF,
+        controller=controller,
+        bounds=None,
+        x0=(0.0, 0.0),
+        horizon=horizon,
+        step=step,
+        substeps=substeps,
     )
+
+
+def sub_step_schedule(sc, t):
+    """m_k of each recording interval [t_k, t_k+1], from the envelope formula:
+    ceil(substeps * max_i q_i / psi_i(t_k+1))."""
+    return [
+        math.ceil(sc.substeps * max(s.funnel.q / fc.funnel_value(s.funnel, t_next) for s in sc.controller.stages))
+        for t_next in t[1:]
+    ]
+
+
+def rhs_calls_per_interval(sc, monkeypatch):
+    """Run sc with eval_dynamics counted between consecutive samples."""
+    counts = []
+
+    def counted_cascade(*args):
+        counts.append(0)
+        return fc.cascade(*args)
+
+    def counted_dynamics(*args):
+        counts[-1] += 1
+        return fc.eval_dynamics(*args)
+
+    monkeypatch.setattr("funnelcap.simulator.cascade", counted_cascade)
+    monkeypatch.setattr("funnelcap.simulator.eval_dynamics", counted_dynamics)
+    traj = fc.simulate(sc)
+    assert counts[-1] == 0  # the last sample closes the run
+    return traj, counts[:-1]
 
 
 class TestSimulate:
@@ -121,9 +156,41 @@ class TestSimulate:
         with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, substeps=0)
         with pytest.raises(ValueError):
+            dataclasses.replace(ex1.scenario, substeps=True)
+        with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, x0=(0.0,))
         with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, x0=(math.inf, 0.0))
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_sub_steps_follow_the_envelope(self, example, request, monkeypatch):
+        sc = request.getfixturevalue(example).scenario.with_overrides(horizon=0.5)
+        traj, calls = rhs_calls_per_interval(sc, monkeypatch)
+        schedule = sub_step_schedule(sc, traj.t)
+        assert calls == [4 * m for m in schedule]
+        assert max(schedule) <= sc.substeps
+        assert all(a <= b for a, b in zip(schedule, schedule[1:]))
+        # The wide envelopes of the first 0.5 s need fewer sub-steps than the
+        # settled count; none of them reaches its q_i this early.
+        assert schedule[0] < sc.substeps
+
+    def test_settled_envelopes_take_the_configured_count(self, monkeypatch):
+        # p == q: every psi_i is q_i from the start, so every interval takes
+        # all of its sub-steps; a scenario without bounds simulates too.
+        sc = identity_scenario(horizon=0.05, p=0.1, substeps=10)
+        traj, calls = rhs_calls_per_interval(sc, monkeypatch)
+        assert np.all(traj.psi == 0.1)
+        assert calls == [40] * (traj.samples - 1)
+        assert np.all(traj.xi == 0.0)
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_schedule_matches_a_fine_fixed_step(self, example, request):
+        # The reference integrates at exactly 1e-5 per step, as acceptance
+        # criterion 7 builds it.
+        sc = request.getfixturevalue(example).scenario
+        x = fc.simulate(sc.with_overrides(horizon=2.0)).xi[-1]
+        x_ref = fc.simulate(dataclasses.replace(sc, horizon=2.0, step=1e-5, substeps=1)).xi[-1]
+        assert np.max(np.abs(x - x_ref)) <= 1e-6
 
     def test_fast_control_path_matches_cascade_exactly(self, ex1, ex2):
         rng = np.random.default_rng(7)
