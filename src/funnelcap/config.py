@@ -25,8 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .controller import CascadeConfig, StageControllerParams, gain_range
-from .feasibility import BoundsSpec, RegionTemplate, _start_output
-from .funnel import FunnelParams
+from .feasibility import BoundsSpec, RegionTemplate, _start_chain
 from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
 from .simulator import Scenario
 
@@ -189,7 +188,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     the config omits.  Start-offset funnels (``delta``) are resolved stage by
     stage from the initial state: p_i = |z_i(0)| + delta_i, where z_i(0)
     chains through the t = 0 outputs of the already-resolved stages, with
-    psi(0) = p as check_point and the region sweep have it.
+    psi(0) = p: the one start chain check_point resolves its start by.
     """
     _mapping(cfg, "$", {"system", "reference", "controller", "bounds", "sim", "region"}, {"system"})
     if isinstance(cfg["system"], str):
@@ -274,16 +273,11 @@ def _controller(section, x0: list[float], reference: ReferenceSpec) -> CascadeCo
     if len(read) != len(x0):
         _fail("$.controller.stages", f"expected {len(x0)} stages for this system, got {len(read)}")
     stages = []
-    prev = reference.y_d(0.0)
-    for j, ((v_bar, c, p, delta, q, mu), x0_j) in enumerate(zip(read, x0)):
-        z0_j = x0_j - prev
-        try:
-            funnel = FunnelParams(p=abs(z0_j) + delta if p is None else p, q=q, mu=mu)
-        except ValueError as e:
-            _fail(f"$.controller.stages[{j}].funnel", str(e))
-        stage = StageControllerParams(v_bar=v_bar, c=c, funnel=funnel)
-        stages.append(stage)
-        prev = _start_output(z0_j, funnel.p, stage)
+    try:  # the stage that failed is the one after those already resolved
+        for law, _ in _start_chain(read, x0, reference.y_d(0.0)):
+            stages.append(law)
+    except ValueError as e:
+        _fail(f"$.controller.stages[{len(stages)}].funnel", str(e))
     return CascadeConfig(n=len(stages), stages=tuple(stages))
 
 
@@ -321,14 +315,22 @@ def _region(section, scenario: Scenario) -> RegionSpec:
 
 
 def load_scenario(path) -> ResolvedConfig:
-    """Read a config file and resolve it."""
+    """Read a config file and resolve it; a key repeated in one object is refused, not overwritten."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+    def unique_keys(pairs: list) -> dict:
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ConfigError(f"{path}: repeated key {key!r}")
+        return dict(pairs)
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
     return resolve_config(cfg)

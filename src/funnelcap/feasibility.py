@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -263,23 +264,31 @@ def _start_output(z: float, p: float, law: StageControllerParams) -> float:
     return stage_control(theta, law)
 
 
+def _start_chain(stages, x0: Sequence[float], y_d0: float):
+    """The one start chain: yield (law, z_i(0)) per stage from the initial state.
+
+    ``stages`` holds (v_bar, c, p, delta, q, mu) per stage, with one of p and
+    delta None; z_i(0) = x0_i minus the t = 0 output of the stage before
+    (y_d0 for the first), and an offset gives p_i = |z_i(0)| + delta_i.
+    FunnelParams' ValueError for a start below q leaves the generator.
+    """
+    prev = y_d0
+    for (v_bar, c, p, delta, q, mu), x in zip(stages, x0):
+        z = x - prev
+        law = StageControllerParams(v_bar=v_bar, c=c, funnel=FunnelParams(p=abs(z) + delta if p is None else p, q=q, mu=mu))
+        yield law, z
+        prev = _start_output(z, law.funnel.p, law)
+
+
 def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityReport:
-    """Per-point certificate: derive p_1, p_2 from the state, then run the
-    full recursion through check_feasibility; its report carries each stage's
-    p and z(0).  Does per cell the arithmetic feasible_region does per grid,
-    so the two agree bit for bit."""
-    x = float(x)
-    y = float(y)
-    s1, s2 = template.controller.stages
-    z1 = x - template.y_d0
-    p1 = abs(z1) + template.deltas[0]
-    z2 = y - _start_output(z1, p1, s1)
-    p2 = abs(z2) + template.deltas[1]
-    stages = tuple(
-        StageControllerParams(v_bar=s.v_bar, c=s.c, funnel=FunnelParams(p=p, q=s.funnel.q, mu=s.funnel.mu))
-        for s, p in ((s1, p1), (s2, p2))
-    )
-    return check_feasibility(CascadeConfig(n=2, stages=stages), template.bounds, (z1, z2))
+    """Per-point certificate of the cascade a ``delta`` config with the
+    template's offsets resolves to at start (x, y), run through
+    check_feasibility; its report carries each stage's p and z(0).  Does per
+    cell the arithmetic feasible_region does per grid, so the two agree bit
+    for bit."""
+    offsets = [(s.v_bar, s.c, None, d, s.funnel.q, s.funnel.mu) for s, d in zip(template.controller.stages, template.deltas)]
+    laws, z0 = zip(*_start_chain(offsets, (float(x), float(y)), template.y_d0))
+    return check_feasibility(CascadeConfig(n=len(laws), stages=laws), template.bounds, z0)
 
 
 def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
@@ -355,23 +364,27 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     return RegionResult(template=template, x=x, y=y, feasible=feasible)
 
 
-def _csv_row(xs: list[str], y: float, mask, m1, m2) -> str:
-    """The region.csv lines of one grid row; ``xs`` holds its x values formatted."""
-    y = "%.17g" % y
-    cells = zip(xs, mask.tolist(), m1.tolist(), m2.tolist())
-    return "".join(["%s,%s,%d,%.17g,%.17g\n" % (x, y, f, a, b) for x, f, a, b in cells])
+def _write_csv(path, header: str, line: str, blocks) -> None:
+    """The one CSV writer: the header line, then each block's rows, every row
+    a tuple formatted by ``line`` and each block written in one piece."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.write("".join([line % row for row in block]))
 
 
 def region_to_csv(result: RegionResult, path) -> None:
     """Write one row per cell: x, y, feasible(0/1), margin_c1, margin_c2.
 
     Streams the margins from the sweep kernel a row tile at a time and never
-    builds (or caches) the full grids; each x and y is formatted once.
+    builds (or caches) the full grids; one block per grid row, and each x
+    and y is formatted once.
     """
     xs = ["%.17g" % v for v in result.x.tolist()]
-    ys = result.y.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,feasible,margin_c1,margin_c2\n")
-        for tile, m1, m2 in _margin_tiles(result.template, result.x, result.y):
-            for row in zip(ys[tile], result.feasible[tile], m1, m2):
-                fh.write(_csv_row(xs, *row))
+    ys = ["%.17g" % v for v in result.y.tolist()]
+    rows = (
+        zip(xs, repeat(y), f.tolist(), a.tolist(), b.tolist())
+        for tile, m1, m2 in _margin_tiles(result.template, result.x, result.y)
+        for y, f, a, b in zip(ys[tile], result.feasible[tile], m1, m2)
+    )
+    _write_csv(path, "x,y,feasible,margin_c1,margin_c2", "%s,%s,%d,%.17g,%.17g\n", rows)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .controller import THETA_EPS, CascadeConfig, cascade
-from .feasibility import BoundsSpec, check_feasibility
+from .feasibility import BoundsSpec, _write_csv, check_feasibility
 from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
 
 __all__ = [
@@ -358,27 +358,16 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         *(getattr(trajectory, name) for name in _STAGE_COLUMNS),
         trajectory.y_d[:, None],
     )
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        # One block of rows at a time, so the whole table is never built.
-        for start in range(0, trajectory.samples, _CSV_BLOCK_ROWS):
-            rows = np.hstack([b[start : start + _CSV_BLOCK_ROWS] for b in blocks])
-            fh.write("".join([line % tuple(row) for row in rows.tolist()]))
+    # One block of rows at a time, so the whole table is never built.
+    starts = range(0, trajectory.samples, _CSV_BLOCK_ROWS)
+    rows = (map(tuple, np.hstack([b[k : k + _CSV_BLOCK_ROWS] for b in blocks]).tolist()) for k in starts)
+    _write_csv(path, ",".join(cols), ",".join(["%.17g"] * len(cols)) + "\n", rows)
 
 
 def write_events_csv(events: Sequence[Event], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,kind,stage,value\n")
-        for e in events:
-            fh.write(f"{e.t:.17g},{e.kind},{e.stage},{e.value:.17g}\n")
+    _write_csv(path, "t,kind,stage,value", "%.17g,%s,%s,%.17g\n", [[(e.t, e.kind, e.stage, e.value) for e in events]])
 
 
 def write_monitor_csv(report: MonitorReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("family,stage,min_margin,worst_t,violations\n")
-        for fam in report.families:
-            for i in range(len(fam.min_margin)):
-                fh.write(
-                    f"{fam.name},{i + 1},{fam.min_margin[i]:.17g},{fam.worst_at[i]:.17g},{fam.violations[i]}\n"
-                )
+    rows = ([(f.name, i, *r) for i, r in enumerate(zip(f.min_margin, f.worst_at, f.violations), 1)] for f in report.families)
+    _write_csv(path, "family,stage,min_margin,worst_t,violations", "%s,%s,%.17g,%.17g,%s\n", rows)

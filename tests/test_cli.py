@@ -104,6 +104,15 @@ class TestCheck:
         assert "config error" in err
         assert "utf16.json" in err
 
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        text = fc.dump_defaults("pendulum_ex1").replace('"substeps": 10', '"substeps": 1, "substeps": 10')
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "runout"
+        assert main(["simulate", str(path), "--out", str(out), "--horizon", "0.01"]) == 2
+        assert "repeated.json: repeated key 'substeps'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
@@ -173,7 +182,9 @@ class TestSimulate:
         out = tmp_path / "runout"
         assert main(["simulate", str(path), "--out", str(out)]) == 1
         assert not out.exists()
-        assert "simulation failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "simulation failed" in err
+        assert "not strictly inside" in err
         assert main(["simulate", str(path), "--out", str(out), "--permissive"]) == 0
         events = (out / "events.csv").read_text()
         assert "trivial_violation" in events

@@ -94,6 +94,19 @@ class TestFunnelResolution:
         with pytest.raises(ConfigError, match=r"stages\[0\]"):
             resolve_config(cfg)
 
+    def test_offset_below_steady_state_bound_named_past_stage_one(self):
+        # x0[1] = u_1(0) gives z_2(0) = 0, so p_2 = delta_2 < q_2: the chain
+        # names the stage it stopped at, not the first one.
+        cfg = ex1_cfg()
+        sc = resolve_config(cfg).scenario
+        s1 = sc.controller.stages[0]
+        z1 = sc.x0[0] - sc.reference.y_d(0.0)
+        cfg["sim"]["x0"][1] = fc.stage_control(fc.clamp_theta(z1 / s1.funnel.p)[0], s1)
+        cfg["controller"]["stages"][1]["funnel"] = {"delta": 0.01, "q": 0.05, "mu": 1.0}
+        msg = r"at \$\.controller\.stages\[1\]\.funnel: initial bound p must satisfy p >= q, got p=0\.01, q=0\.05"
+        with pytest.raises(ConfigError, match=rf"^{msg}$"):
+            resolve_config(cfg)
+
     def test_explicit_and_offset_are_exclusive(self):
         cfg = ex1_cfg()
         cfg["controller"]["stages"][0]["funnel"]["delta"] = 0.5
@@ -122,6 +135,15 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text('{\n  "system": "builtin:pendulum_ex1",\n  "bounds": oops\n}\n', encoding="utf-8")
         with pytest.raises(ConfigError, match=r"broken\.json:3:13"):
+            fc.load_scenario(path)
+
+    @pytest.mark.parametrize("key, first", [("horizon", 0.0), ("substeps", 1)])
+    def test_repeated_key_refused(self, tmp_path, key, first):
+        # json.loads alone keeps the last value, so the first would never be read.
+        text = fc.dump_defaults("pendulum_ex1").replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"repeated\.json: repeated key '{key}'$"):
             fc.load_scenario(path)
 
     def test_missing_sections_for_family_system(self):

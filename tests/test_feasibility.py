@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from funnelcap import (
     gain_range,
     region_to_csv,
 )
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _csv_row, _stage_constants, _start_output
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage_constants, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -322,12 +323,11 @@ class TestMarginMonotonicity:
 
 
 def write_csv_rows(res, path):
-    """region.csv for arrays no sweep gives, written through region_to_csv's row formatter."""
+    """region.csv for arrays no sweep gives, written through region_to_csv's writer and line format."""
     xs = ["%.17g" % v for v in res.x.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,feasible,margin_c1,margin_c2\n")
-        for row in zip(res.y.tolist(), res.feasible, res.margin_c1, res.margin_c2):
-            fh.write(_csv_row(xs, *row))
+    rows = zip(res.y.tolist(), res.feasible, res.margin_c1, res.margin_c2)
+    blocks = (zip(xs, repeat("%.17g" % y), f.tolist(), a.tolist(), b.tolist()) for y, f, a, b in rows)
+    _write_csv(path, "x,y,feasible,margin_c1,margin_c2", "%s,%s,%d,%.17g,%.17g\n", blocks)
 
 
 class TestRegion:

@@ -331,3 +331,33 @@ class TestCsv:
         assert len(lines) == 1 + 4 * 2
         for line in lines[1:]:
             assert line.split(",")[4] == "0"
+
+    def test_events_csv_bytes_match_per_value_writer(self, tmp_path):
+        events = (
+            fc.Event(t=0.0, kind="trivial_violation", stage=1, value=math.nan),
+            fc.Event(t=5e-324, kind="clamp", stage=2, value=-0.0),
+            fc.Event(t=1.0 / 3.0, kind="violation_error_envelope", stage=1, value=math.inf),
+            fc.Event(t=19.999, kind="clamp", stage=2, value=-math.inf),
+        )
+        path = tmp_path / "events.csv"
+        fc.write_events_csv(events, path)
+        lines = ["t,kind,stage,value\n"] + [f"{e.t:.17g},{e.kind},{e.stage},{e.value:.17g}\n" for e in events]
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+        fc.write_events_csv((), path)
+        assert path.read_bytes() == b"t,kind,stage,value\n"
+
+    def test_monitor_csv_bytes_match_per_value_writer(self, tmp_path):
+        report = fc.MonitorReport(
+            families=(
+                fc.BoundFamilyReport("error_envelope", (math.nan, -0.0), (1, 0), (0.25, 5e-324)),
+                fc.BoundFamilyReport("input_cap", (math.inf, -math.inf), (0, 7), (math.nan, 1.0 / 3.0)),
+            ),
+            events=(),
+        )
+        path = tmp_path / "monitor.csv"
+        fc.write_monitor_csv(report, path)
+        lines = ["family,stage,min_margin,worst_t,violations\n"]
+        for fam in report.families:
+            for i in range(len(fam.min_margin)):
+                lines.append(f"{fam.name},{i + 1},{fam.min_margin[i]:.17g},{fam.worst_at[i]:.17g},{fam.violations[i]}\n")
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
