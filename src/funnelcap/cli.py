@@ -19,6 +19,8 @@ from .simulator import TrivialConditionError, monitor, simulate, write_events_cs
 _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_CONFIG = 2
+# Seeded draws of the certificate's state box in check's constants spot check.
+_SPOT_SAMPLES = 2000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,22 +70,22 @@ def _cmd_check(args) -> int:
     # a clean sample proves nothing.
     caps = (sc.bounds.v0_bar,) + tuple(s.v_bar for s in sc.controller.stages)
     box = [(-(s.funnel.p + cap), s.funnel.p + cap) for s, cap in zip(sc.controller.stages, caps)]
-    spot = spot_check_bounds(sc.system, sc.bounds, box)
-    print(_constants_line(spot, box))
-    return _EXIT_OK if report.feasible and spot.clean else _EXIT_FAIL
+    families = spot_check_bounds(sc.system, sc.bounds, box, samples=_SPOT_SAMPLES)
+    print(_constants_line(families, box))
+    return _EXIT_OK if report.feasible and not any(any(f.violations) for f in families) else _EXIT_FAIL
 
 
-def _constants_line(spot, box) -> str:
-    where = f"{spot.samples} samples of |xi| <= ({', '.join(f'{hi:g}' for _, hi in box)})"
+def _constants_line(families, box) -> str:
+    where = f"{_SPOT_SAMPLES} samples of |xi| <= ({', '.join(f'{hi:g}' for _, hi in box)})"
     broken = [
         f"stage {i + 1} {f.name} fails {f.violations[i]} times, worst margin {f.min_margin[i]:.3g} "
         f"at ({', '.join(f'{x:.6g}' for x in f.worst_at[i])})"
         for i in range(len(box))  # stage-major, then family
-        for f in spot.families
+        for f in families
         if f.violations[i]
     ]
     if not broken:
-        return f"constants: {', '.join(f.name for f in spot.families)} hold in all {where}"
+        return f"constants: {', '.join(f.name for f in families)} hold in all {where}"
     return f"constants: VIOLATED in {where}: " + "; ".join(broken)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -73,9 +74,9 @@ def _mapping(val, where: str, allowed: set[str], required: set[str]) -> dict:
 def _number(val, where: str, positive: bool = False, nonneg: bool = False) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(where, f"expected a number, got {val!r}")
-    val = float(val)
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # NaN, inf, or an integer past the float range
         _fail(where, "must be finite")
+    val = float(val)
     if positive and val <= 0.0:
         _fail(where, f"must be > 0, got {val}")
     if nonneg and val < 0.0:

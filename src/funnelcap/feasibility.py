@@ -269,15 +269,15 @@ def _start_chain(stages, x0: Sequence[float], y_d0: float):
 
     ``stages`` holds (v_bar, c, p, delta, q, mu) per stage, with one of p and
     delta None; z_i(0) = x0_i minus the t = 0 output of the stage before
-    (y_d0 for the first), and an offset gives p_i = |z_i(0)| + delta_i.
-    FunnelParams' ValueError for a start below q leaves the generator.
+    (y_d0 for the first), computed only once stage i is reached, and an
+    offset gives p_i = |z_i(0)| + delta_i.  FunnelParams' ValueError for a
+    start below q leaves the generator.
     """
-    prev = y_d0
+    law = z = None
     for (v_bar, c, p, delta, q, mu), x in zip(stages, x0):
-        z = x - prev
+        z = x - (y_d0 if law is None else _start_output(z, law.funnel.p, law))
         law = StageControllerParams(v_bar=v_bar, c=c, funnel=FunnelParams(p=abs(z) + delta if p is None else p, q=q, mu=mu))
         yield law, z
-        prev = _start_output(z, law.funnel.p, law)
 
 
 def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityReport:

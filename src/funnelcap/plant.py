@@ -202,29 +202,15 @@ class BoundFamilyReport:
     worst_at: tuple
 
 
-@dataclass(frozen=True)
-class SpotCheckReport:
-    """The declared constants as bound families over ``samples`` draws:
-    ``k`` has margins k_i*||prefix|| - |f_i(prefix)|, ``g_lo/g_hi`` has
-    min(g_i - g_lo_i, g_hi_i - g_i).  A negative or NaN margin means the
-    constant is violated at ``worst_at`` (reported, never silently corrected).
-    """
-
-    families: tuple[BoundFamilyReport, ...]
-    samples: int
-
-    @property
-    def clean(self) -> bool:
-        return not any(any(f.violations) for f in self.families)
-
-
-def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed: int = 0) -> SpotCheckReport:
+def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed: int = 0) -> tuple[BoundFamilyReport, ...]:
     """Sample the operating box and test the declared growth and gain constants.
 
     ``box`` lists one finite (lo, hi) interval per state, and ``bounds`` one
-    constant per stage.  The check is evidence, not proof: it reports worst
-    margins and violation counts for |f_i| <= k_i*||.|| and
-    g_lo_i <= g_i <= g_hi_i over ``samples`` uniform draws.
+    constant per stage.  The check is evidence, not proof: over ``samples``
+    uniform draws it returns two families, ``k`` with margins
+    k_i*||prefix|| - |f_i(prefix)| and ``g_lo/g_hi`` with
+    min(g_i - g_lo_i, g_hi_i - g_i).  A negative or NaN margin means the
+    constant is violated at ``worst_at`` (reported, never silently corrected).
     """
     if bounds.n != system.n:
         raise ValueError(f"bounds cover {bounds.n} stages, system order is {system.n}")
@@ -252,4 +238,4 @@ def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed
         min_margin, violations, rows, _ = _score_margins(margins)
         worst_at = tuple(tuple(pts[row, : i + 1].tolist()) for i, row in enumerate(rows))
         families.append(BoundFamilyReport(name, min_margin, violations, worst_at))
-    return SpotCheckReport(families=tuple(families), samples=samples)
+    return tuple(families)

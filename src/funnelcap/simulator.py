@@ -35,6 +35,7 @@ the largest settled gain at 2.5 or below (``config._stable_substeps``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -100,10 +101,12 @@ class Scenario:
             raise ValueError("x0 entries must be finite")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if not (self.horizon >= self.step and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be finite and >= step, got {self.horizon}")
-        if not (isinstance(self.substeps, int) and not isinstance(self.substeps, bool) and self.substeps >= 1):
-            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps}")
+        # A finite horizon / step also makes the horizon finite.
+        if not (self.horizon >= self.step and math.isfinite(self.horizon / self.step)):
+            raise ValueError(f"horizon must be >= step with a finite horizon / step, got {self.horizon} / {self.step}")
+        # The sub-step count enters float arithmetic, so it must convert to a float.
+        if not (isinstance(self.substeps, int) and not isinstance(self.substeps, bool) and 1 <= self.substeps <= sys.float_info.max):
+            raise ValueError(f"substeps must be an integer from 1 to {sys.float_info.max:g}, got {self.substeps}")
 
     def with_overrides(self, horizon: float | None = None, step: float | None = None) -> "Scenario":
         kwargs = {}
@@ -211,7 +214,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     cfg = scenario.controller
     n = sys_.n
     h = scenario.step
-    steps = max(1, int(round(scenario.horizon / h)))
+    steps = int(round(scenario.horizon / h))  # >= 1, since horizon >= step
     samples = steps + 1
     m = scenario.substeps
     # (p_i - q_i, q_i, mu_i) of each envelope: psi_i(t) = (p_i - q_i) *
@@ -283,12 +286,6 @@ class MonitorReport:
     @property
     def total_violations(self) -> int:
         return sum(sum(f.violations) for f in self.families)
-
-    def family(self, name: str) -> BoundFamilyReport:
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     def __str__(self) -> str:
         lines = []

@@ -54,6 +54,22 @@ class TestCheck:
         assert "verdict: FEASIBLE" in out
         assert "constants: k, g_lo/g_hi hold in all 2000 samples of |xi| <= (2, 5.9)" in out
 
+    def test_bundled_stdout_is_pinned(self, ex1_config_path, ex2_config_path, capsys):
+        # The whole report: certificate lines, verdict and constants line.
+        for path, code, digest in (
+            (ex1_config_path, 0, "5dab321a9cde4d0d172e7150487e583cc0bdac4515b8a09a9d7ad409cc25ef57"),
+            (ex2_config_path, 1, "e605d7f0cb0ff657930b18428c74881b56292b2e0c26d8c7d115ae026563adc7"),
+        ):
+            assert main(["check", str(path)]) == code
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_integer_past_float_range_exits_two(self, tmp_path, capsys):
+        text = fc.dump_defaults("pendulum_ex1").replace('"horizon": 20.0', '"horizon": 1' + "0" * 400)
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: at $.sim.horizon: must be finite\n"
+
     def test_violated_constant_exits_one(self, ex2_config_path, tmp_path, capsys):
         # The certificate holds on paper, but the declared k_2 = 1 fails on
         # the certificate's own state box, so the verdict has no footing.
@@ -164,6 +180,25 @@ class TestSimulate:
         out = tmp_path / "runout"
         assert main(["simulate", str(ex1_config_path), "--out", str(out), *flag]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--step", "1e-320"], ["--step", "1e-300", "--horizon", "1e10"]])
+    def test_overflowing_sample_count_is_a_config_error(self, ex1_config_path, tmp_path, capsys, flags):
+        out = tmp_path / "runout"
+        assert main(["simulate", str(ex1_config_path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --step/--horizon:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--step", "0.002"]])
+    def test_huge_substeps_is_a_config_error(self, tmp_path, capsys, flags):
+        text = fc.dump_defaults("pendulum_ex1").replace('"substeps": 10', '"substeps": 1' + "0" * 400)
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "runout"
+        assert main(["simulate", str(path), "--out", str(out), "--horizon", "0.01", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: at $.sim: substeps") and err.count("\n") == 1
         assert not out.exists()
 
     def test_zero_horizon_writes_nothing(self, tmp_path, capsys):

@@ -211,6 +211,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="substeps"):
             resolve_config(cfg)
 
+    def test_integer_past_float_range_refused(self):
+        # float() of such a literal raises OverflowError; it is refused as
+        # not finite, and a sub-step count that large names the sim section.
+        for key, path in (("horizon", r"\$\.sim\.horizon: must be finite"), ("substeps", r"at \$\.sim: substeps")):
+            cfg = ex1_cfg()
+            cfg["sim"][key] = 10**400
+            with pytest.raises(ConfigError, match=path):
+                resolve_config(cfg)
+        cfg = ex1_cfg()
+        cfg["bounds"]["k"] = [0.0, -(10**400)]
+        with pytest.raises(ConfigError, match=r"\$\.bounds\.k\[1\]: must be finite"):
+            resolve_config(cfg)
+
     def test_stage_count_must_match_system(self):
         cfg = ex1_cfg()
         cfg["controller"]["stages"] = cfg["controller"]["stages"][:1]
@@ -354,6 +367,28 @@ class TestRegionResolution:
             z1 = sc.x0[0] - sc.reference.y_d(0.0)
             u1 = fc.stage_control(fc.clamp_theta(z1 / s1.funnel.p)[0], s1)
             assert (z1, sc.x0[1] - u1) == (pt[0].z0, pt[1].z0)
+
+    def test_start_chain_evaluates_each_inner_output_once(self, monkeypatch):
+        # Only a stage with a successor needs its t = 0 output: one per
+        # two-stage probe and per two-stage offset config.
+        calls = []
+        start_output = fc.feasibility._start_output
+
+        def counted(*args):
+            calls.append(args)
+            return start_output(*args)
+
+        monkeypatch.setattr(fc.feasibility, "_start_output", counted)
+        cfg = ex1_cfg()
+        template = resolve_config(cfg).region.template
+        calls.clear()
+        fc.check_point(template, -0.2, 0.5)
+        assert len(calls) == 1
+        for stage, delta in zip(cfg["controller"]["stages"], template.deltas):
+            del stage["funnel"]["p"]
+            stage["funnel"]["delta"] = delta
+        resolve_config(cfg)
+        assert len(calls) == 2
 
     def test_omitted_substeps_sized_from_stiffness(self):
         # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for

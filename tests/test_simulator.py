@@ -162,6 +162,13 @@ class TestSimulate:
         with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, x0=(math.inf, 0.0))
 
+    def test_scenario_refuses_overflowing_counts(self, ex1):
+        # horizon / step past the float range, and a sub-step count that
+        # does not convert to a float, would overflow inside simulate.
+        for kwargs in ({"step": 1e-320}, {"step": 1e-300, "horizon": 1e10}, {"substeps": 10**400}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(ex1.scenario, **kwargs)
+
     @pytest.mark.parametrize("example", ["ex1", "ex2"])
     def test_sub_steps_follow_the_envelope(self, example, request, monkeypatch):
         sc = request.getfixturevalue(example).scenario.with_overrides(horizon=0.5)
@@ -227,7 +234,7 @@ class TestMonitor:
         z[k, 0] = ex1_trajectory.psi[k, 0] + 0.1
         edited = dataclasses.replace(ex1_trajectory, z=z)
         report = fc.monitor(edited, ex1.scenario.controller, ex1.scenario.bounds)
-        fam = report.family("error_envelope")
+        fam = {f.name: f for f in report.families}["error_envelope"]
         assert fam.violations == (1, 0)
         assert fam.worst_at[0] == pytest.approx(ex1_trajectory.t[k])
         assert len(report.events) == 1
@@ -238,7 +245,7 @@ class TestMonitor:
     def test_slew_bounds_come_from_certificate(self, ex1, ex1_trajectory):
         report = fc.monitor(ex1_trajectory, ex1.scenario.controller, ex1.scenario.bounds)
         cert = fc.check_feasibility(ex1.scenario.controller, ex1.scenario.bounds, [0.0, 0.0])
-        slew = report.family("output_slew")
+        slew = {f.name: f for f in report.families}["output_slew"]
         h = ex1.scenario.step
         u = ex1_trajectory.u
         ud = np.empty_like(u)
