@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -178,6 +179,8 @@ def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float)
     stage i near its settled envelope (see the simulator module notes).
     """
     ratio = step * max(g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages))
+    if not math.isfinite(ratio):
+        _fail("$.sim.substeps", f"the settled stiffness ratio is {ratio}, no sub-step count follows; set substeps explicitly")
     return max(1, math.ceil(ratio / _RK4_RATIO_LIMIT))
 
 
@@ -324,9 +327,9 @@ def load_scenario(path) -> ResolvedConfig:
             raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
 
     def unique_keys(pairs: list) -> dict:
-        keys = [key for key, _ in pairs]
-        for key in keys:
-            if keys.count(key) > 1:
+        counts = Counter(key for key, _ in pairs)
+        for key, _ in pairs:
+            if counts[key] > 1:
                 raise ConfigError(f"{path}: repeated key {key!r}")
         return dict(pairs)
 

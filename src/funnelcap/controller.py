@@ -118,33 +118,26 @@ def stage_control(theta: float, params: StageControllerParams) -> float:
     return -(2.0 * params.v_bar / math.pi) * math.atan(inner)
 
 
-def _gain(v_bar: float, c: float, cos_sq: float) -> float:
-    # Shared expression so range endpoints match stage_gain bit-for-bit.
-    return -2.0 * math.pi * v_bar * c / ((4.0 * c * c - math.pi * math.pi) * cos_sq + math.pi * math.pi)
-
-
 def stage_gain(theta: float, params: StageControllerParams) -> float:
-    """Slope du/dtheta = -2*pi*v_bar*c / ((4c^2 - pi^2)*cos^2(pi*theta/2) + pi^2).
+    """Slope du/dtheta = -2*pi*v_bar / (4c*cos^2(pi*theta/2) + (pi^2/c)*sin^2(pi*theta/2)).
 
-    Strictly negative for all theta in (-1, 1); constant -v_bar when c = pi/2.
+    Its two terms are >= 0 and never both 0, so the denominator cannot cancel
+    or round to 0.  Negative for all theta in (-1, 1); -v_bar when c = pi/2.
     """
     theta = _check_theta(theta)
-    cos_t = math.cos(_HALF_PI * theta)
-    return _gain(params.v_bar, params.c, cos_t * cos_t)
+    c, cos_t, sin_t = params.c, math.cos(_HALF_PI * theta), math.sin(_HALF_PI * theta)
+    return -2.0 * math.pi * params.v_bar / (4.0 * c * cos_t * cos_t + (math.pi * sin_t / c) * (math.pi * sin_t))
 
 
 def gain_range(params: StageControllerParams) -> tuple[float, float]:
-    """Bounds (phi_lo, phi_hi) of the stage gain over theta in (-1, 1).
-
-    For 0 < c < pi/2 the gain is most negative at theta = 0 and approaches
-    -2*v_bar*c/pi toward the boundary; for c >= pi/2 the roles swap (both
-    branches coincide at c = pi/2).  Always phi_lo <= phi_hi < 0.
+    """Bounds (phi_lo, phi_hi) of the stage gain over theta in (-1, 1), in
+    closed form and most negative first: -pi*v_bar/(2c), attained at theta =
+    0, and -2*v_bar*c/pi, the limit as |theta| -> 1.  The first is phi_lo
+    for c < pi/2; both are -v_bar at c = pi/2.  Always phi_lo <= phi_hi < 0.
     """
-    at_center = _gain(params.v_bar, params.c, 1.0)  # attained at theta = 0
-    at_edge = _gain(params.v_bar, params.c, 0.0)  # limit as |theta| -> 1
-    if params.c < _HALF_PI:
-        return (at_center, at_edge)
-    return (at_edge, at_center)
+    at_center = -math.pi * params.v_bar / (2.0 * params.c)
+    at_edge = -2.0 * params.v_bar * params.c / math.pi
+    return (at_center, at_edge) if params.c < _HALF_PI else (at_edge, at_center)
 
 
 def cascade(state, t: float, config: CascadeConfig, reference) -> CascadeDecision:

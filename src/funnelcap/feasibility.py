@@ -98,53 +98,47 @@ class BoundsSpec:
         return len(self.k)
 
 
-def _slew(varphi, p, q, mu, phi_lo):
-    """Slew-rate bound r = (varphi/q + mu*(p - q)/p) * |phi_lo| of a stage's output."""
-    return (varphi / q + mu * (p - q) / p) * abs(phi_lo)
+def _slew(varphi, p, stage: StageControllerParams):
+    """Slew-rate bound r = (varphi/q + mu*(p - q)/p) * |phi_lo| of a stage's
+    output, with q and mu its envelope's and phi_lo its law's most negative gain."""
+    q, mu = stage.funnel.q, stage.funnel.mu
+    return (varphi / q + mu * (p - q) / p) * abs(gain_range(stage)[0])
 
 
-def _stage_constants(stages: Sequence[StageControllerParams]) -> tuple[list, list, list, list]:
-    """The certificate inputs other than the envelope starts: per-stage q, mu,
-    v_bar and phi_lo, the stage law's most negative gain."""
-    return (
-        [s.funnel.q for s in stages],
-        [s.funnel.mu for s in stages],
-        [s.v_bar for s in stages],
-        [gain_range(s)[0] for s in stages],
-    )
-
-
-def _certificate(bounds: BoundsSpec, p, q, mu, v_bar, phi_lo) -> list:
+def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams]) -> list:
     """The certificate recursion: (varphi_i, rhs_i, margin_i) for each stage.
 
     ``p`` holds the envelope starts as floats, or as numpy arrays whose shapes
-    grow along the cascade (an (nx,) row, then an (ny, nx) grid); the other
-    arguments are per-stage floats, ``phi_lo`` the most negative stage gains.
+    grow along the cascade (an (nx,) row, then an (ny, nx) grid); q, mu, v_bar
+    and phi_lo come from the stage laws ``stages``, whose starts are unused.
     Only slew bounds a later stage consumes are computed.  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
-    same bits, since both commute exactly.
+    same bits, since both commute exactly.  Overflow to inf or NaN is left
+    silent: a non-finite margin already reads as infeasible.
     """
     n = len(p)
-    caps = (bounds.v0_bar, *v_bar)
+    cap = bounds.v0_bar  # v_bar_{i-1}
     sq = 0.0  # running ||delta_i||^2
     r = bounds.r0
     out = []
-    for i in range(n):
-        d = p[i] + caps[i]
-        d *= d
-        d += sq
-        sq = d
-        varphi = np.sqrt(sq)
-        varphi *= bounds.k[i]
-        varphi += bounds.d_bar[i]
-        varphi += bounds.g_hi[i] * v_bar[i]
-        r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
-        varphi = r
-        if i + 1 < n:
-            varphi = bounds.g_hi[i] * p[i + 1] + varphi
-            r = _slew(varphi, p[i], q[i], mu[i], phi_lo[i])
-        rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * v_bar[i] + mu[i] * (q[i] - p[i])
-        out.append((varphi, rhs, rhs - varphi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, stage in enumerate(stages):
+            d = p[i] + cap
+            d *= d
+            d += sq
+            sq = d
+            varphi = np.sqrt(sq)
+            varphi *= bounds.k[i]
+            varphi += bounds.d_bar[i]
+            varphi += bounds.g_hi[i] * stage.v_bar
+            r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
+            varphi = r
+            if i + 1 < n:
+                varphi = bounds.g_hi[i] * p[i + 1] + varphi
+                r = _slew(varphi, p[i], stage)
+            rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * stage.v_bar + stage.funnel.mu * (stage.funnel.q - p[i])
+            out.append((varphi, rhs, rhs - varphi))
+            cap = stage.v_bar
     return out
 
 
@@ -207,17 +201,17 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     if len(z0) != n:
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
     p = [s.funnel.p for s in config.stages]
-    q, mu, v_bar, phi_lo = _stage_constants(config.stages)
     stages = []
-    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, q, mu, v_bar, phi_lo)):
+    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, config.stages)):
+        varphi_i = float(varphi_i)  # r in Python floats: overflow stays silent
         z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
                 stage=i + 1,
-                varphi=float(varphi_i),
+                varphi=varphi_i,
                 rhs=rhs_i,
                 margin=float(margin_i),
-                r=float(_slew(varphi_i, p[i], q[i], mu[i], phi_lo[i])),
+                r=_slew(varphi_i, p[i], config.stages[i]),
                 p=p[i],
                 z0=z0_i,
                 trivial_margin=p[i] - abs(z0_i),
@@ -304,14 +298,13 @@ def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
     z1 = x - template.y_d0
     p1 = np.abs(z1) + template.deltas[0]
     u1 = np.array([_start_output(z, p, stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
-    consts = _stage_constants(stages)
     rows = max(1, _TILE_CELLS // x.size)
     for start in range(0, y.size, rows):
         tile = slice(start, start + rows)
         p2 = y[tile, None] - u1
         np.abs(p2, out=p2)
         p2 += template.deltas[1]
-        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), *consts)
+        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), stages)
         yield tile, m1, m2
 
 

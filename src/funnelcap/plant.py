@@ -118,10 +118,7 @@ def sine_reference(amp: float, freq: float) -> ReferenceSpec:
     """Reference y_d = amp*sin(freq*t) with its exact derivative."""
     amp = float(amp)
     freq = float(freq)
-    return ReferenceSpec(
-        y_d=lambda t: amp * math.sin(freq * t),
-        y_d_rate=lambda t: amp * freq * math.cos(freq * t),
-    )
+    return ReferenceSpec(y_d=sine_signal(amp, freq), y_d_rate=lambda t: amp * freq * math.cos(freq * t))
 
 
 def pendulum_system(

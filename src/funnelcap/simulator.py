@@ -43,6 +43,7 @@ import numpy as np
 
 from .controller import THETA_EPS, CascadeConfig, cascade
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
+from .funnel import funnel_value
 from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
 
 __all__ = [
@@ -217,9 +218,6 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     steps = int(round(scenario.horizon / h))  # >= 1, since horizon >= step
     samples = steps + 1
     m = scenario.substeps
-    # (p_i - q_i, q_i, mu_i) of each envelope: psi_i(t) = (p_i - q_i) *
-    # exp(-mu_i * t) + q_i, bit for bit as funnel_value computes it.
-    envelopes = [(st.funnel.p - st.funnel.q, st.funnel.q, st.funnel.mu) for st in cfg.stages]
 
     table = np.empty((samples, len(_STAGE_COLUMNS) * n + 2))
     events: list[Event] = []
@@ -251,9 +249,9 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
             break
 
         # Classic RK4 over the recording interval, in m_k sub-steps sized for
-        # its smallest envelopes, psi_i(t_{k+1}) (see the module notes).
+        # its smallest envelopes, psi_i(t_{k+1}) as sample k + 1 records them.
         t_next = (k + 1) * h
-        m_k = math.ceil(m * max(q / (pq * math.exp(-mu * t_next) + q) for pq, q, mu in envelopes))
+        m_k = math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages))
         h_sub = h / m_k
         for s in range(m_k):
             t_s = t_k + s * h_sub

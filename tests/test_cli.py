@@ -306,3 +306,55 @@ class TestRegion:
         stdout = capsys.readouterr().out
         assert "feasible cells: 0/121 (0.00%)" in stdout
         assert "probe (35, 0): INFEASIBLE" in stdout
+
+
+def test_tiny_shape_constant_runs_every_command(tmp_path, capsys):
+    # At c = 1e-9 the steepest stage gain is pi*4.5/(2c) = 7.1e9: every
+    # command answers (the start violates psi_2(0) unless permissive).
+    cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+    cfg["controller"]["stages"][0]["c"] = 1e-9
+    path = str(write_cfg(tmp_path, cfg))
+    out = str(tmp_path / "out")
+    for argv in (
+        ["check", path],
+        ["region", path, "--out", out],
+        ["simulate", path, "--out", out, "--horizon", "0.01"],
+        ["simulate", path, "--out", out, "--horizon", "0.01", "--permissive"],
+    ):
+        assert main(argv) in (0, 1)
+    assert "margin_c2=" in capsys.readouterr().out
+
+
+def test_underivable_substeps_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+    del cfg["sim"]["substeps"]
+    cfg["controller"]["stages"][1].update(c=1e-300, v_bar=1e10)
+    assert main(["check", str(write_cfg(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("config error: at $.sim.substeps: ")
+
+
+@pytest.mark.parametrize(
+    "edit, codes",
+    [
+        (lambda cfg: cfg["controller"]["stages"][0]["funnel"].update(mu=1e308), (1, 0, 1)),
+        (lambda cfg: cfg["bounds"].update(k=[1e308, 1e308]), (1, 0, 0)),
+        (lambda cfg: cfg["region"].update(probe_points=[[1e308, 1e308]]), (0, 0, 0)),
+    ],
+    ids=["mu", "k", "probe"],
+)
+def test_overflowing_constants_stay_silent(edit, codes, tmp_path, capsys):
+    # Overflow to inf or NaN margins already reads as infeasible; it must not
+    # also print numpy RuntimeWarnings.
+    cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+    edit(cfg)
+    path = str(write_cfg(tmp_path, cfg))
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = (
+            main(["check", path]),
+            main(["region", path, "--out", out]),
+            main(["simulate", path, "--out", out, "--horizon", "0.01"]),
+        )
+    assert got == codes
+    assert "Warning" not in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -145,6 +146,20 @@ class TestValidation:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=rf"repeated\.json: repeated key '{key}'$"):
             fc.load_scenario(path)
+
+    def test_repeated_key_check_is_linear(self, tmp_path):
+        # 100k distinct keys, then one repeat: refused with the first key in
+        # file order that occurs twice, long before a quadratic scan would end.
+        keys = [f"k{j}" for j in range(100_000)]
+        path = tmp_path / "wide.json"
+        path.write_text("{" + ", ".join(f'"{k}": 0' for k in [*keys, "k7", "k3"]) + "}", encoding="utf-8")
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"repeated key 'k3'$"):
+            fc.load_scenario(path)
+        path.write_text(json.dumps({"system": "builtin:pendulum_ex1", **dict.fromkeys(keys, 0)}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^at \$: unknown key\(s\)"):
+            fc.load_scenario(path)
+        assert time.perf_counter() - start < 10.0
 
     def test_missing_sections_for_family_system(self):
         cfg = {"system": {"family": "pendulum"}}
@@ -389,6 +404,16 @@ class TestRegionResolution:
             stage["funnel"]["delta"] = delta
         resolve_config(cfg)
         assert len(calls) == 2
+
+    def test_non_finite_stiffness_ratio_asks_for_substeps(self):
+        # |phi_lo_2| = pi*1e10/(2e-300) overflows, so no count can be derived.
+        cfg = ex1_cfg()
+        del cfg["sim"]["substeps"]
+        cfg["controller"]["stages"][1].update(c=1e-300, v_bar=1e10)
+        with pytest.raises(ConfigError, match=r"^at \$\.sim\.substeps: .*inf.*set substeps explicitly"):
+            resolve_config(cfg)
+        cfg["sim"]["substeps"] = 3
+        assert resolve_config(cfg).scenario.substeps == 3
 
     def test_omitted_substeps_sized_from_stiffness(self):
         # ratio max_i g_hi_i*|phi_lo_i|/q_i * step: 100*8/0.05*1e-3 = 16 for

@@ -113,6 +113,22 @@ class TestGainRange:
             lo, hi = gain_range(make_stage(3.0, c=c))
             assert lo <= hi < 0.0
 
+    def test_closed_form_at_small_c(self):
+        # The slope at theta = 0 is the range's first end, down to tiny c
+        # where a (4c^2 - pi^2)*cos^2 + pi^2 denominator cancels to 0.
+        for c in (1e-300, 1e-9, 1.2e-8, 2e-8, 1e-7, 0.01, 1.0, 1.5):
+            stage = make_stage(4.5, c=c)
+            assert gain_range(stage)[0] == pytest.approx(-math.pi * 4.5 / (2.0 * c), rel=1e-15)
+            assert stage_gain(0.0, stage) == pytest.approx(gain_range(stage)[0], rel=1e-15)
+
+    def test_gain_is_finite_and_non_positive_for_any_c(self):
+        for c in np.logspace(-300, 300, 121):
+            stage = make_stage(4.5, c=c)
+            lo, hi = gain_range(stage)
+            assert lo <= hi <= 0.0
+            for theta in (0.0, 1e-300, -1e-9, 0.3, -0.7, 1.0 - 1e-12):
+                assert -math.inf < stage_gain(theta, stage) <= 0.0
+
 
 class TestClamp:
     def test_interior_passes_through(self):

@@ -21,7 +21,7 @@ from funnelcap import (
     gain_range,
     region_to_csv,
 )
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _stage_constants, _start_output, _write_csv
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -185,6 +185,23 @@ class TestCheckFeasibility:
             assert stage.margin == pytest.approx(margin, rel=1e-12)
             assert stage.r == pytest.approx(r, rel=1e-12)
 
+    def test_small_c_uses_the_exact_steepest_gain(self):
+        # At c = 2e-8 the steepest gain is pi*4.5/(2c) = 3.53e8; a slope
+        # formula evaluated at theta = 0 cancels there and reads 10% low,
+        # which made this prescription look FEASIBLE (margin_2 = +1.98e9).
+        config = CascadeConfig(
+            n=2,
+            stages=(
+                StageControllerParams(v_bar=4.5, c=2e-8, funnel=FunnelParams(p=1.0, q=0.05, mu=0.9)),
+                StageControllerParams(v_bar=4.3e8, funnel=FunnelParams(p=1.4, q=0.05, mu=1.0)),
+            ),
+        )
+        report = check_feasibility(config, ex1_bounds(), [0.5, 0.2])
+        s1, s2 = report.stages
+        assert s1.r == pytest.approx((6.4 / 0.05 + 0.9 * 0.95) * math.pi * 4.5 / 4e-8, rel=1e-12)
+        assert s2.margin == pytest.approx(-2.5411162e9, rel=1e-7)
+        assert not report.feasible
+
     def test_start_outside_envelope_is_infeasible(self):
         report = check_feasibility(ex1_config(), ex1_bounds(), [1.5, 0.0])
         assert not report.feasible
@@ -213,7 +230,8 @@ def test_recursion_matches_inline_for_random_cascades(n, data):
     extras = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
     mus = data.draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
     vbs = data.draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n))
-    cs = data.draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    # log-uniform down to c = 1e-9, where |phi_lo| = pi*v_bar/(2c) is ~1e9 * v_bar
+    cs = data.draw(st.lists(st.floats(-9.0, math.log10(3.0)).map(lambda e: 10.0**e), min_size=n, max_size=n))
     ks = data.draw(st.lists(st.floats(0.0, 15.0), min_size=n, max_size=n))
     glos = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     gext = data.draw(st.lists(st.floats(0.0, 90.0), min_size=n, max_size=n))
@@ -439,8 +457,7 @@ class TestRegion:
         p1 = np.array([abs(xi - template.y_d0) + template.deltas[0] for xi in x.tolist()])
         u1 = np.array([_start_output(xi - template.y_d0, p, law) for xi, p in zip(x.tolist(), p1.tolist())])
         p2 = np.abs(y[:, None] - u1) + template.deltas[1]
-        consts = _stage_constants(template.controller.stages)
-        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), *consts)
+        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
         res = feasible_region(template, x, y)
         assert res.margin_c1.shape == res.margin_c2.shape == res.feasible.shape == (ny, nx)
         assert np.array_equal(res.margin_c1, m1)
