@@ -9,7 +9,8 @@ omits, except ``region``, is taken from it.  That merge comes first; then
 ``resolve_config`` reads each key once, checking its type, sign and, for
 per-stage lists, its length against the system order where it is read, and
 builds the objects from the values it read.  An omitted ``sim.substeps`` is
-sized from the loop's stiffness ratio (see ``_stable_substeps``).  Unknown
+sized from the loop's stiffness ratio (see ``_stable_substeps``), and
+refused when that needs more than ``_MAX_DERIVED_SUBSTEPS``.  Unknown
 keys are rejected everywhere.  Parse errors carry file:line:column anchors;
 schema errors carry the JSON-path anchor of the key they were read from.
 """
@@ -26,10 +27,10 @@ from importlib import resources
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams, gain_range
+from .controller import CascadeConfig, StageControllerParams
 from .feasibility import BoundsSpec, RegionTemplate, _start_chain
 from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
-from .simulator import Scenario
+from .simulator import Scenario, _settled_stiffness
 
 __all__ = [
     "ConfigError",
@@ -50,6 +51,11 @@ _CONFIG_FILES = {"pendulum_ex1": "ex1_pendulum.json", "nonlinear_ex2": "ex2_nonl
 # 2.785; omitted substeps are sized to keep the stiffness ratio below this,
 # with some room to spare.
 _RK4_RATIO_LIMIT = 2.5
+
+# The most sub-steps per recorded step a config may leave to be derived:
+# at about 6 us per right-hand side, 1e4 already make a 20 s run at 1 ms
+# steps take about an hour.
+_MAX_DERIVED_SUBSTEPS = 10_000
 
 
 class ConfigError(ValueError):
@@ -176,12 +182,24 @@ def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float)
     """Smallest m >= 1 with max_i g_hi_i * |phi_lo_i| / q_i * step / m <= _RK4_RATIO_LIMIT.
 
     g_hi_i * |phi_lo_i| / q_i is the largest local error-feedback gain of
-    stage i near its settled envelope (see the simulator module notes).
+    stage i near its settled envelope (``simulator._settled_stiffness``).  A
+    count that cannot be derived, or one above _MAX_DERIVED_SUBSTEPS, is
+    refused: the config must give one explicitly.
     """
-    ratio = step * max(g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages))
-    if not math.isfinite(ratio):
-        _fail("$.sim.substeps", f"the settled stiffness ratio is {ratio}, no sub-step count follows; set substeps explicitly")
-    return max(1, math.ceil(ratio / _RK4_RATIO_LIMIT))
+    ratios = _settled_stiffness(controller, bounds)
+    if ratios is None:
+        _fail(
+            "$.sim.substeps",
+            "a stage's settled stiffness ratio is infinite or NaN, no sub-step count follows; set substeps explicitly",
+        )
+    needed = step * max(ratios) / _RK4_RATIO_LIMIT
+    if needed > _MAX_DERIVED_SUBSTEPS:
+        _fail(
+            "$.sim.substeps",
+            f"the settled stiffness ratio needs {needed:.6g} sub-steps per recorded step, "
+            f"more than {_MAX_DERIVED_SUBSTEPS}; set substeps explicitly",
+        )
+    return max(1, math.ceil(needed))
 
 
 def resolve_config(cfg: dict) -> ResolvedConfig:

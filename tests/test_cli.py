@@ -29,6 +29,16 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == fc.dump_defaults("pendulum_ex1")
 
 
+def edit_bundled_substeps(new) -> str:
+    """ex1's bundled text with its `"substeps": N` literal, N the bundled
+    value, passed through new(literal); the edit must change the text."""
+    text = fc.dump_defaults("pendulum_ex1")
+    literal = f'"substeps": {json.loads(text)["sim"]["substeps"]}'
+    edited = text.replace(literal, new(literal))
+    assert edited != text
+    return edited
+
+
 def sha256_of(out):
     names = ("trajectory.csv", "events.csv", "monitor.csv")
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
@@ -121,7 +131,7 @@ class TestCheck:
         assert "utf16.json" in err
 
     def test_repeated_key_exits_two(self, tmp_path, capsys):
-        text = fc.dump_defaults("pendulum_ex1").replace('"substeps": 10', '"substeps": 1, "substeps": 10')
+        text = edit_bundled_substeps(lambda literal: '"substeps": 1, ' + literal)
         path = tmp_path / "repeated.json"
         path.write_text(text, encoding="utf-8")
         out = tmp_path / "runout"
@@ -160,7 +170,7 @@ class TestSimulate:
         out = tmp_path / "runout"
         assert main(["simulate", str(ex2_config_path), "--out", str(out), "--horizon", "0.5"]) == 0
         digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-        assert digest == "53d07c41f75e411ebd86d6c30de5290563876a45d3b93e75b20170b7f4cb588a"
+        assert digest == "e7cc3467387a93b17d09a3049acd67a79a9dc254b20a842ab3d2c7528ffbf59c"
 
     def test_step_and_horizon_overrides(self, ex1_config_path, tmp_path):
         out = tmp_path / "runout"
@@ -169,8 +179,8 @@ class TestSimulate:
         assert len(lines) == 1 + 11  # header + samples at 0.01 over 0.1 s
 
     def test_coarser_step_keeps_the_sub_step_length(self, ex1_config_path, tmp_path, capsys):
-        # 10 ms recorded steps get 100 sub-steps of 0.1 ms, as the config's
-        # 1 ms steps get 10; kept at 10 they would leave RK4's stable region.
+        # 10 ms recorded steps get 70 sub-steps of 1/7 ms, as the config's
+        # 1 ms steps get 7; kept at 7 they would leave RK4's stable region.
         out = tmp_path / "runout"
         assert main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "3", "--step", "0.01"]) == 0
         assert "total violations: 0" in capsys.readouterr().out
@@ -192,7 +202,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags", [[], ["--step", "0.002"]])
     def test_huge_substeps_is_a_config_error(self, tmp_path, capsys, flags):
-        text = fc.dump_defaults("pendulum_ex1").replace('"substeps": 10', '"substeps": 1' + "0" * 400)
+        text = edit_bundled_substeps(lambda literal: '"substeps": 1' + "0" * 400)
         path = tmp_path / "cfg.json"
         path.write_text(text, encoding="utf-8")
         out = tmp_path / "runout"
@@ -331,6 +341,22 @@ def test_underivable_substeps_is_a_config_error(tmp_path, capsys):
     cfg["controller"]["stages"][1].update(c=1e-300, v_bar=1e10)
     assert main(["check", str(write_cfg(tmp_path, cfg))]) == 2
     assert capsys.readouterr().err.startswith("config error: at $.sim.substeps: ")
+
+
+def test_huge_derived_substeps_is_a_config_error(tmp_path, capsys):
+    # c_2 = 1e-7 derives about 1e8 sub-steps per recorded step: refused at
+    # once, where simulate would run practically forever.  A count given
+    # explicitly is still taken as given.
+    cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+    substeps = cfg["sim"].pop("substeps")
+    cfg["controller"]["stages"][1]["c"] = 1e-7
+    out = str(tmp_path / "out")
+    assert main(["simulate", str(write_cfg(tmp_path, cfg)), "--out", out, "--horizon", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: at $.sim.substeps: ") and err.count("\n") == 1
+    assert "set substeps explicitly" in err
+    cfg["sim"]["substeps"] = substeps
+    assert main(["check", str(write_cfg(tmp_path, cfg))]) in (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 
 import funnelcap as fc
 from funnelcap import ConfigError
-from funnelcap.config import resolve_config
+from funnelcap.config import _stable_substeps, resolve_config
 
 
 def ex1_cfg():
@@ -424,3 +424,36 @@ class TestRegionResolution:
             assert resolve_config(cfg).scenario.substeps == expected
             cfg["sim"]["substeps"] = 2
             assert resolve_config(cfg).scenario.substeps == 2
+
+    def test_bundled_substeps_are_the_derived_count(self):
+        for cfg in (ex1_cfg(), ex2_cfg()):
+            sc = resolve_config(cfg).scenario
+            assert cfg["sim"]["substeps"] == _stable_substeps(sc.controller, sc.bounds, sc.step)
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_non_finite_stiffness_on_any_stage_is_refused(self, stage):
+        # g_hi = 0 times an overflowing |phi_lo| is NaN on the edited stage;
+        # the refusal is the same whichever stage carries it.
+        cfg = ex1_cfg()
+        del cfg["sim"]["substeps"]
+        cfg["bounds"]["g_lo"][stage] = cfg["bounds"]["g_hi"][stage] = 0.0
+        cfg["controller"]["stages"][stage].update(c=1e-300, v_bar=1e10)
+        with pytest.raises(ConfigError) as info:
+            resolve_config(cfg)
+        assert str(info.value) == (
+            "at $.sim.substeps: a stage's settled stiffness ratio is infinite or NaN, "
+            "no sub-step count follows; set substeps explicitly"
+        )
+
+    def test_derived_substeps_are_capped(self):
+        # ex1's largest settled gain is 16000/s: a 1.5 s step derives 9600
+        # sub-steps, a 1.6 s step 10240, past the cap of 1e4.
+        cfg = ex1_cfg()
+        del cfg["sim"]["substeps"]
+        cfg["sim"]["step"] = 1.5
+        assert resolve_config(cfg).scenario.substeps == 9600
+        cfg["sim"]["step"] = 1.6
+        with pytest.raises(ConfigError, match=r"^at \$\.sim\.substeps: .* needs 10240 sub-steps .*more than 10000; set substeps explicitly"):
+            resolve_config(cfg)
+        cfg["sim"]["substeps"] = 20000
+        assert resolve_config(cfg).scenario.substeps == 20000

@@ -101,7 +101,7 @@ class TestBuiltins:
         sc = ex1.scenario
         assert sc.horizon == 20.0
         assert sc.step == 1e-3
-        assert sc.substeps == 10
+        assert sc.substeps == 7
         assert sc.bounds.k[1] == pytest.approx(9.8 * math.sqrt(2.0), rel=1e-15)
         assert sc.bounds.v0_bar == 1.0 and sc.bounds.r0 == 0.5
 
