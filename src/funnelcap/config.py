@@ -27,10 +27,10 @@ from importlib import resources
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams
+from .controller import CascadeConfig, StageControllerParams, gain_range
 from .feasibility import BoundsSpec, RegionTemplate, _start_chain
 from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
-from .simulator import Scenario, _settled_stiffness
+from .simulator import Scenario
 
 __all__ = [
     "ConfigError",
@@ -182,12 +182,12 @@ def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float)
     """Smallest m >= 1 with max_i g_hi_i * |phi_lo_i| / q_i * step / m <= _RK4_RATIO_LIMIT.
 
     g_hi_i * |phi_lo_i| / q_i is the largest local error-feedback gain of
-    stage i near its settled envelope (``simulator._settled_stiffness``).  A
+    stage i near its settled envelope (see the simulator module notes).  A
     count that cannot be derived, or one above _MAX_DERIVED_SUBSTEPS, is
     refused: the config must give one explicitly.
     """
-    ratios = _settled_stiffness(controller, bounds)
-    if ratios is None:
+    ratios = [g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages)]
+    if not all(math.isfinite(r) for r in ratios):
         _fail(
             "$.sim.substeps",
             "a stage's settled stiffness ratio is infinite or NaN, no sub-step count follows; set substeps explicitly",

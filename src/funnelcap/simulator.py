@@ -7,34 +7,31 @@ scale with the recording step, so halving the step shrinks the final-state
 error by roughly 2^4.
 
 Near a settled funnel the loop is stiff: stage i's local error-feedback gain
-is about s_i / psi_i(t), with s_i = g_hi_i * |phi_lo_i| and phi_lo_i the
-first end of ``gain_range``.  At psi_i = q_i it reaches 1.6e4/s on the
-built-in pendulum's second stage but only 90/s on its first, while explicit
-RK4 is only stable for |gain * h| below about 2.79.  Scenarios therefore
-carry ``substeps``, the number of equal RK4 sub-steps per recorded step once
-the envelopes have settled; the recording grid stays comparable across runs
-while the integration step stays inside the stability region.  While an
-envelope is still wide, or its stage is less stiff, the loop needs fewer, so
-each recording interval [t_k, t_{k+1}] is sized from each stage's own
-settled stiffness:
+is about g_hi_i * |gain_lo_i| / psi_i(t), reaching 1.6e4/s at psi_i = q_i
+for the built-in pendulum example, while explicit RK4 is only stable for
+|gain * h| below about 2.79.  Scenarios therefore carry ``substeps``, the
+number of equal RK4 sub-steps per recorded step once the envelopes have
+settled; the recording grid stays comparable across runs while the
+integration step stays inside the stability region.  While an envelope is
+still wide the loop is less stiff, so each recording interval
+[t_k, t_{k+1}] is sized on its own:
 
-    w_i = s_i / max_j(s_j / q_j),
-    m_k = ceil(substeps * max_i w_i / psi_i(t_{k+1})),    h_sub = step / m_k.
+    m_k = ceil(substeps * max_i q_i / psi_i(t_{k+1})),    h_sub = step / m_k.
 
-The stiffest stage has w_i = q_i and every other w_i < q_i.  Without bounds,
-or when some s_j / q_j is not finite or all of them are 0, every w_i = q_i.
-psi only decreases, so psi_i(t_{k+1}) is the interval's smallest envelope,
-and every stage's stiffness per sub-step, s_i * h / (psi_i * m_k), stays at
-or below h * max_j(s_j / q_j) / substeps, the settled ratio that
-``substeps`` bounds.  m_k never exceeds ``substeps`` (w_i <= q_i <= psi_i),
-never decreases, and equals ``substeps`` once the stiffest stage's psi_i is
-within a factor substeps / (substeps - 1) of its q_i; substeps = 1
-integrates every interval in one step.  The bundled example configs give the
-derived counts, 7 for the pendulum and 5 for the sine chain: over 20 s they
-take 480,908 and 282,772 right-hand-side evaluations, against 800,000 at 10
-sub-steps in every interval.  A config that omits ``substeps`` gets the
-fewest that keep step/substeps times the largest settled gain at 2.5 or
-below (``config._stable_substeps``).
+psi only decreases, so psi_i(t_{k+1}) is the interval's smallest envelope and
+every stage's stiffness per sub-step stays at or below what ``substeps``
+gives it once settled.  m_k never exceeds ``substeps`` (q_i <= psi_i),
+never decreases, and equals ``substeps`` once some psi_i is within a factor
+substeps / (substeps - 1) of its q_i; substeps = 1 integrates every interval
+in one step.  The count never reads the certification bounds, so a generous
+g_hi on one stage cannot thin out the sub-steps another stage needs.  A
+config that omits ``substeps`` gets the fewest that keep step/substeps times
+the largest settled gain at 2.5 or below (``config._stable_substeps``); the
+bundled example configs give exactly that, 7 for the pendulum and 5 for the
+sine chain.  Over 20 s they take 482,536 and 356,584 right-hand-side
+evaluations, against 683,992 and 702,316 at substeps = 10, with every
+monitor clean.  Short runs gain most: 100 seeded 0.2 s sine-chain runs with
+start offsets (0.5, 0.1) take one sub-step per interval.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import THETA_EPS, CascadeConfig, cascade, gain_range
+from .controller import THETA_EPS, CascadeConfig, cascade
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
 from .funnel import funnel_value
 from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
@@ -80,10 +77,9 @@ class Scenario:
     bounds (needed by monitors), start state, horizon, and the recording step
     (seconds).  ``substeps`` is the number of equal RK4 sub-steps per
     recorded step once the envelopes have settled; while they are wider,
-    each recorded step takes ceil(substeps * max_i w_i / psi_i) of them, psi_i
-    taken at the step's end and w_i <= q_i weighting stage i by its settled
-    stiffness (see the module notes).  The bundled configs derive 7 (ex1)
-    and 5 (ex2) from the stability limit."""
+    each recorded step takes ceil(substeps * max_i q_i / psi_i) of them, psi_i
+    taken at the step's end (see the module notes on stiffness).  The bundled
+    configs give the derived counts, 7 (ex1) and 5 (ex2)."""
 
     system: SystemSpec
     reference: ReferenceSpec
@@ -168,15 +164,6 @@ class Trajectory:
         return self.t.size
 
 
-def _settled_stiffness(controller: CascadeConfig, bounds: BoundsSpec | None) -> list[float] | None:
-    """Each stage's settled error-feedback gain s_i / q_i, s_i = g_hi_i *
-    |phi_lo_i|; None without bounds or when any of them is not finite."""
-    if bounds is None:
-        return None
-    ratios = [g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages)]
-    return ratios if all(math.isfinite(r) for r in ratios) else None
-
-
 def _control_path(config: CascadeConfig, reference):
     """Build a fast plant-input evaluator for the RK4 inner loop.
 
@@ -240,13 +227,6 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
 
     u_last = _control_path(cfg, ref)
 
-    # Each stage's sub-step weight w_i = q_i * (s_i/q_i) / max_j(s_j/q_j),
-    # or q_i when the settled stiffness is unknown (see the module notes).
-    ratios = _settled_stiffness(cfg, scenario.bounds)
-    top = max(ratios) if ratios is not None else 0.0
-    scale = [r / top for r in ratios] if top > 0.0 else [1.0] * n
-    weighted = [(st.funnel.q * c, st.funnel) for c, st in zip(scale, cfg.stages)]
-
     def rhs(state: list[float], t: float) -> list[float]:
         return eval_dynamics(sys_, state, u_last(state, t), t)
 
@@ -274,7 +254,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
         # Classic RK4 over the recording interval, in m_k sub-steps sized for
         # its smallest envelopes, psi_i(t_{k+1}) as sample k + 1 records them.
         t_next = (k + 1) * h
-        m_k = math.ceil(m * max(w / funnel_value(f, t_next) for w, f in weighted))
+        m_k = math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages))
         h_sub = h / m_k
         for s in range(m_k):
             t_s = t_k + s * h_sub

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import funnelcap as fc
+from funnelcap.config import resolve_config
 from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path
 
 ZERO_REF = fc.ReferenceSpec(y_d=lambda t: 0.0, y_d_rate=lambda t: 0.0)
@@ -37,22 +39,11 @@ def identity_scenario(horizon=1.0, step=1e-3, p=1.0, substeps=1):
     )
 
 
-def sub_step_weights(sc):
-    """w_i = s_i / max_j(s_j / q_j), s_i = g_hi_i * |phi_lo_i|, evaluated as
-    q_i * (s_i/q_i) / max_j(s_j/q_j); q_i alone without bounds."""
-    stages = sc.controller.stages
-    if sc.bounds is None:
-        return [s.funnel.q for s in stages]
-    ratios = [g_hi * abs(fc.gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(sc.bounds.g_hi, stages)]
-    return [s.funnel.q * (r / max(ratios)) for r, s in zip(ratios, stages)]
-
-
 def sub_step_schedule(sc, t):
-    """m_k of each recording interval [t_k, t_k+1], from the weighted envelope
-    formula: ceil(substeps * max_i w_i / psi_i(t_k+1))."""
-    weights = sub_step_weights(sc)
+    """m_k of each recording interval [t_k, t_k+1], from the envelope formula:
+    ceil(substeps * max_i q_i / psi_i(t_k+1))."""
     return [
-        math.ceil(sc.substeps * max(w / fc.funnel_value(s.funnel, t_next) for w, s in zip(weights, sc.controller.stages)))
+        math.ceil(sc.substeps * max(s.funnel.q / fc.funnel_value(s.funnel, t_next) for s in sc.controller.stages))
         for t_next in t[1:]
     ]
 
@@ -192,21 +183,23 @@ class TestSimulate:
         # settled count; none of them reaches its q_i this early.
         assert schedule[0] < sc.substeps
 
-    def test_without_bounds_every_stage_weighs_its_q(self, ex1, monkeypatch):
-        # Until about 4.5 s ex1's stage 1 has the larger q_i / psi_i, though
-        # stage 2 is 178 times stiffer; without bounds the q_i schedule holds.
-        sc = ex1.scenario.with_overrides(horizon=3.0)
-        unbounded = dataclasses.replace(sc, bounds=None)
-        assert sub_step_weights(unbounded) == [s.funnel.q for s in sc.controller.stages]
-        traj, calls = rhs_calls_per_interval(unbounded, monkeypatch)
-        schedule = sub_step_schedule(unbounded, traj.t)
-        assert calls == [4 * m for m in schedule]
-        assert sum(schedule) > sum(sub_step_schedule(sc, traj.t))
+    def test_schedule_ignores_the_declared_gain_bounds(self, monkeypatch):
+        # A generous g_hi on a slowly settling stage 1 must not thin out the
+        # sub-steps stage 2 needs: with the count sized from each stage's
+        # declared stiffness instead of q_i, this run broke 441 bounds.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        cfg["controller"]["stages"][0]["funnel"]["mu"] = 0.1
+        cfg["bounds"]["g_hi"][0] = 1000.0
+        cfg["sim"]["horizon"] = 3.0
+        sc = resolve_config(cfg).scenario
+        traj, calls = rhs_calls_per_interval(sc, monkeypatch)
+        assert calls == [4 * m for m in sub_step_schedule(sc, traj.t)]
+        assert fc.monitor(traj, sc.controller, sc.bounds).total_violations == 0
 
-    @pytest.mark.parametrize("example, rhs", [("ex1", 480_908), ("ex2", 282_772)])
+    @pytest.mark.parametrize("example, rhs", [("ex1", 482_536), ("ex2", 356_584)])
     def test_bundled_runs_take_the_pinned_rhs_evaluations(self, example, rhs, request, monkeypatch):
-        # 20 s at the bundled counts; 10 sub-steps weighted by q_i alone took
-        # 683,992 (ex1) and 702,316 (ex2).
+        # 20 s at the bundled counts, 7 (ex1) and 5 (ex2), with every
+        # monitor clean; at 10 sub-steps they took 683,992 and 702,316.
         calls = []
 
         def counted_dynamics(*args):
@@ -214,8 +207,10 @@ class TestSimulate:
             return fc.eval_dynamics(*args)
 
         monkeypatch.setattr("funnelcap.simulator.eval_dynamics", counted_dynamics)
-        fc.simulate(request.getfixturevalue(example).scenario)
+        sc = request.getfixturevalue(example).scenario
+        traj = fc.simulate(sc)
         assert len(calls) == rhs
+        assert fc.monitor(traj, sc.controller, sc.bounds).total_violations == 0
 
     def test_settled_envelopes_take_the_configured_count(self, monkeypatch):
         # p == q: every psi_i is q_i from the start, so every interval takes
