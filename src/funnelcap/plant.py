@@ -206,8 +206,10 @@ def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed
     constant per stage.  The check is evidence, not proof: over ``samples``
     uniform draws it returns two families, ``k`` with margins
     k_i*||prefix|| - |f_i(prefix)| and ``g_lo/g_hi`` with
-    min(g_i - g_lo_i, g_hi_i - g_i).  A negative or NaN margin means the
-    constant is violated at ``worst_at`` (reported, never silently corrected).
+    min(g_i - g_lo_i, g_hi_i - g_i).  The oracles get plain floats, as in
+    ``simulate``; ||prefix|| is ``math.hypot``, which overflows only where
+    the norm does.  A negative or NaN margin means the constant is
+    violated at ``worst_at`` (reported, never silently corrected).
     """
     if bounds.n != system.n:
         raise ValueError(f"bounds cover {bounds.n} stages, system order is {system.n}")
@@ -221,18 +223,18 @@ def spot_check_bounds(system: SystemSpec, bounds, box, samples: int = 2000, seed
         span = hi - lo  # NaN or inf for a non-finite box
     if not np.all(np.isfinite(span) & (span >= 0.0)):
         raise ValueError("box intervals must satisfy lo <= hi with a finite hi - lo")
-    pts = rng.uniform(lo, hi, size=(samples, system.n))
+    pts = rng.uniform(lo, hi, size=(samples, system.n)).tolist()
 
-    k_m = np.empty_like(pts)
-    g_m = np.empty_like(pts)
+    k_m = np.empty((samples, system.n))
+    g_m = np.empty_like(k_m)
     for i in range(system.n):
         k_i, g_lo_i, g_hi_i = bounds.k[i], bounds.g_lo[i], bounds.g_hi[i]
         prefixes = [tuple(row[: i + 1]) for row in pts]
-        k_m[:, i] = [k_i * math.sqrt(sum(x * x for x in xs)) - abs(system.f[i](xs)) for xs in prefixes]
+        k_m[:, i] = [k_i * math.hypot(*xs) - abs(system.f[i](xs)) for xs in prefixes]
         g_m[:, i] = [min(g - g_lo_i, g_hi_i - g) for g in map(system.g[i], prefixes)]
     families = []
     for name, margins in (("k", k_m), ("g_lo/g_hi", g_m)):
         min_margin, violations, rows, _ = _score_margins(margins)
-        worst_at = tuple(tuple(pts[row, : i + 1].tolist()) for i, row in enumerate(rows))
+        worst_at = tuple(tuple(pts[row][: i + 1]) for i, row in enumerate(rows))
         families.append(BoundFamilyReport(name, min_margin, violations, worst_at))
     return tuple(families)

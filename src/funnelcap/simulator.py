@@ -7,31 +7,34 @@ scale with the recording step, so halving the step shrinks the final-state
 error by roughly 2^4.
 
 Near a settled funnel the loop is stiff: stage i's local error-feedback gain
-is about g_hi_i * |gain_lo_i| / psi_i(t), reaching 1.6e4/s at psi_i = q_i
-for the built-in pendulum example, while explicit RK4 is only stable for
-|gain * h| below about 2.79.  Scenarios therefore carry ``substeps``, the
-number of equal RK4 sub-steps per recorded step once the envelopes have
-settled; the recording grid stays comparable across runs while the
-integration step stays inside the stability region.  While an envelope is
-still wide the loop is less stiff, so each recording interval
-[t_k, t_{k+1}] is sized on its own:
+is about g_hi_i * |phi_lo_i| / psi_i(t), phi_lo_i being ``gain_range``'s
+steepest stage gain.  It reaches 1.6e4/s at psi_i = q_i for the built-in
+pendulum example, while explicit RK4 is only stable for |gain * h| below
+about 2.79.  The sub-step rule that keeps it there lives here, once:
 
-    m_k = ceil(substeps * max_i q_i / psi_i(t_{k+1})),    h_sub = step / m_k.
+- ``Scenario.substeps`` is the number of equal RK4 sub-steps per recorded
+  step once the envelopes have settled.  Wider envelopes are less stiff, so
+  each recording interval [t_k, t_{k+1}] is sized on its own:
 
-psi only decreases, so psi_i(t_{k+1}) is the interval's smallest envelope and
-every stage's stiffness per sub-step stays at or below what ``substeps``
-gives it once settled.  m_k never exceeds ``substeps`` (q_i <= psi_i),
-never decreases, and equals ``substeps`` once some psi_i is within a factor
-substeps / (substeps - 1) of its q_i; substeps = 1 integrates every interval
-in one step.  The count never reads the certification bounds, so a generous
-g_hi on one stage cannot thin out the sub-steps another stage needs.  A
-config that omits ``substeps`` gets the fewest that keep step/substeps times
-the largest settled gain at 2.5 or below (``config._stable_substeps``); the
-bundled example configs give exactly that, 7 for the pendulum and 5 for the
-sine chain.  Over 20 s they take 482,536 and 356,584 right-hand-side
-evaluations, against 683,992 and 702,316 at substeps = 10, with every
-monitor clean.  Short runs gain most: 100 seeded 0.2 s sine-chain runs with
-start offsets (0.5, 0.1) take one sub-step per interval.
+      m_k = max(1, ceil(substeps * max_i q_i / psi_i(t_{k+1}))),    h_sub = step / m_k.
+
+  psi only decreases, so psi_i(t_{k+1}) is the interval's smallest envelope
+  and every stage's stiffness per sub-step stays at or below what
+  ``substeps`` gives it once settled.  m_k never exceeds ``substeps``
+  (q_i <= psi_i), never decreases, and is at least 1 even when every
+  q_i / psi_i underflows to 0 (extra sub-steps never weaken the bound), so
+  substeps = 1 integrates every interval in one step.  The count never
+  reads the certification bounds, so a generous g_hi on one stage cannot
+  thin out the sub-steps another stage needs.
+- A config that omits ``substeps`` gets ``_stable_substeps``: the fewest that
+  keep step / substeps times the largest settled gain,
+  max_i g_hi_i * |phi_lo_i| / q_i, at _RK4_RATIO_LIMIT or below.  A count
+  that cannot be derived (some stage's ratio inf or NaN) or that exceeds
+  _MAX_DERIVED_SUBSTEPS is refused by one ValueError, which the config
+  reader anchors at $.sim.substeps; a given count is taken as given.  The
+  bundled configs give the derived counts, 7 (pendulum) and 5 (sine chain).
+- ``Scenario.with_overrides`` raises the count for a coarser recording step,
+  so the settled sub-step is no longer than the config made it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import THETA_EPS, CascadeConfig, cascade
+from .controller import THETA_EPS, CascadeConfig, cascade, gain_range
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
 from .funnel import funnel_value
 from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
@@ -66,6 +69,16 @@ __all__ = [
 # sits between the t column and the y_d column.
 _STAGE_COLUMNS = ("xi", "z", "theta", "u", "psi")
 
+# Classic RK4 is stable on the negative real axis up to |gain * h| of about
+# 2.785; a derived count keeps the settled ratio below this, with some room
+# to spare.
+_RK4_RATIO_LIMIT = 2.5
+
+# The most sub-steps per recorded step that may be derived: at about 6 us
+# per right-hand side, 1e4 already make a 20 s run at 1 ms steps take about
+# an hour.
+_MAX_DERIVED_SUBSTEPS = 10_000
+
 
 class TrivialConditionError(RuntimeError):
     """The initial errors are not strictly inside their envelopes (|z_i(0)| >= p_i)."""
@@ -76,10 +89,8 @@ class Scenario:
     """One closed-loop run: plant, reference, cascade, optional certification
     bounds (needed by monitors), start state, horizon, and the recording step
     (seconds).  ``substeps`` is the number of equal RK4 sub-steps per
-    recorded step once the envelopes have settled; while they are wider,
-    each recorded step takes ceil(substeps * max_i q_i / psi_i) of them, psi_i
-    taken at the step's end (see the module notes on stiffness).  The bundled
-    configs give the derived counts, 7 (ex1) and 5 (ex2)."""
+    recorded step once the envelopes have settled; the module notes give the
+    sub-step rule."""
 
     system: SystemSpec
     reference: ReferenceSpec
@@ -126,6 +137,22 @@ class Scenario:
             if math.isfinite(ratio):
                 kwargs["substeps"] = max(self.substeps, math.ceil(ratio * (1.0 - 1e-9)))
         return replace(self, **kwargs) if kwargs else self
+
+
+def _stable_substeps(controller: CascadeConfig, bounds: BoundsSpec, step: float) -> int:
+    """Smallest m >= 1 with max_i g_hi_i * |phi_lo_i| / q_i * step / m <= _RK4_RATIO_LIMIT.
+
+    Raises ValueError when no count up to _MAX_DERIVED_SUBSTEPS does: a
+    stage's ratio that is inf or NaN needs an infinite count.
+    """
+    ratios = [g_hi * abs(gain_range(s)[0]) / s.funnel.q for g_hi, s in zip(bounds.g_hi, controller.stages)]
+    needed = step * max(ratios) / _RK4_RATIO_LIMIT if all(map(math.isfinite, ratios)) else math.inf
+    if not needed <= _MAX_DERIVED_SUBSTEPS:
+        raise ValueError(
+            f"the settled stiffness ratio needs {needed:.6g} sub-steps per recorded step, "
+            f"more than {_MAX_DERIVED_SUBSTEPS}; set substeps explicitly"
+        )
+    return max(1, math.ceil(needed))
 
 
 @dataclass(frozen=True)
@@ -254,7 +281,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
         # Classic RK4 over the recording interval, in m_k sub-steps sized for
         # its smallest envelopes, psi_i(t_{k+1}) as sample k + 1 records them.
         t_next = (k + 1) * h
-        m_k = math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages))
+        m_k = max(1, math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages)))
         h_sub = h / m_k
         for s in range(m_k):
             t_s = t_k + s * h_sub

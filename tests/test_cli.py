@@ -142,6 +142,39 @@ class TestCheck:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json.loads raises RecursionError long before this depth.
+            '{"system": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            # Past Python's int-string digit limit json.loads raises a bare
+            # ValueError; where there is no limit, _number refuses it.
+            fc.dump_defaults("pendulum_ex1").replace('"horizon": 20.0', '"horizon": 1' + "0" * 4999),
+        ],
+        ids=["deep_nesting", "long_integer"],
+    )
+    def test_hostile_json_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_overflowing_norm_is_no_false_violation(self, tmp_path, capsys):
+        # At p = 1e200 the box reaches 1e200, where x*x overflows; stage 1's
+        # k_1 = 0 and f_1 = 0 hold exactly, so no 0*inf may make it fail.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        for stage in cfg["controller"]["stages"]:
+            stage["funnel"]["p"] = 1e200
+        path = str(write_cfg(tmp_path, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", path]) == 1  # the certificate is INFEASIBLE
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        assert "stage 1 k" not in out.split("constants:")[1]
+
 
 class TestSimulate:
     def test_writes_all_artifacts(self, ex1_config_path, tmp_path, capsys):
@@ -253,6 +286,19 @@ class TestSimulate:
         assert digests["events.csv"] == "cbbb4cf47e438678b3ea74c4b830ec93d2b1b211de2fd423492eb595a66b4989"
         assert digests["monitor.csv"] == "37573fafc18b091c714fe89c95091362c3026e7b149942e2567f77b6178a2e46"
 
+    def test_every_interval_takes_a_sub_step(self, tmp_path, capsys):
+        # Every q_i/psi_i(t_k+1) underflows to 0, yet each interval must
+        # still take one sub-step; the monitor's verdict decides the code.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        for stage in cfg["controller"]["stages"]:
+            stage["funnel"].update(p=1e200, q=1e-200)
+        path = str(write_cfg(tmp_path, cfg))
+        out = str(tmp_path / "runout")
+        assert main(["simulate", path, "--out", out, "--horizon", "0.01"]) == 1
+        assert "total violations: 22" in capsys.readouterr().out
+        assert main(["simulate", path, "--out", out, "--horizon", "0.01", "--permissive"]) == 0
+        assert len((tmp_path / "runout" / "trajectory.csv").read_text().splitlines()) == 12
+
     def test_impossible_horizon_is_a_runtime_failure(self, ex1_config_path, tmp_path, capsys):
         # 1e16 samples need far more than the address space: the sample table
         # is refused at once, and reported like any other runtime failure.
@@ -302,6 +348,15 @@ class TestRegion:
             assert f"at $.region.{key}: " in capsys.readouterr().err
             assert main(["check", str(path)]) == 2
             assert f"at $.region.{key}: " in capsys.readouterr().err
+
+    def test_offset_below_q_exits_two(self, tmp_path, capsys):
+        # delta_1 = 0.01 is below q_1 = 0.05: the region template refuses it.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        cfg["region"]["deltas"] = [0.01, 0.1]
+        assert main(["region", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: at $.region: each envelope offset must be finite and >= the matching steady-state bound q\n"
+        )
 
     def test_bad_grid_flag_exits_two(self, ex1_config_path, tmp_path):
         assert main(["region", str(ex1_config_path), "--out", str(tmp_path / "r"), "--grid", "axb"]) == 2

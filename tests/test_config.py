@@ -9,7 +9,8 @@ import pytest
 
 import funnelcap as fc
 from funnelcap import ConfigError
-from funnelcap.config import _stable_substeps, resolve_config
+from funnelcap.config import resolve_config
+from funnelcap.simulator import _stable_substeps
 
 
 def ex1_cfg():
@@ -441,8 +442,8 @@ class TestRegionResolution:
         with pytest.raises(ConfigError) as info:
             resolve_config(cfg)
         assert str(info.value) == (
-            "at $.sim.substeps: a stage's settled stiffness ratio is infinite or NaN, "
-            "no sub-step count follows; set substeps explicitly"
+            "at $.sim.substeps: the settled stiffness ratio needs inf sub-steps per recorded step, "
+            "more than 10000; set substeps explicitly"
         )
 
     def test_derived_substeps_are_capped(self):

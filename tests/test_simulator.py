@@ -150,6 +150,30 @@ class TestSimulate:
         assert 0.0 < err.value.t <= 1.0
         assert err.value.stage == 1
 
+    def test_overflowing_state_update_aborts(self, monkeypatch):
+        # Every derivative is 1e308, but the RK4 weighted sum k1 + 2*k2 + ...
+        # overflows: the state check, not eval_dynamics, must stop the run.
+        system = fc.SystemSpec(n=1, f=(lambda xs: 1e308,), g=(lambda xs: 0.0,), d=(fc.zero_signal,))
+        controller = fc.CascadeConfig(
+            n=1,
+            stages=(fc.StageControllerParams(v_bar=1.0, funnel=fc.FunnelParams(p=1e6, q=1e6, mu=1.0)),),
+        )
+        sc = fc.Scenario(
+            system=system, reference=ZERO_REF, controller=controller, bounds=None, x0=(0.0,), horizon=1.0, step=1e-3
+        )
+        derivatives = []
+
+        def recorded(*args):
+            out = fc.eval_dynamics(*args)
+            derivatives.extend(out)
+            return out
+
+        monkeypatch.setattr("funnelcap.simulator.eval_dynamics", recorded)
+        with pytest.raises(fc.DynamicsError) as err:
+            fc.simulate(sc)
+        assert (err.value.stage, err.value.t, err.value.value) == (1, 0.001, math.inf)
+        assert derivatives == [1e308] * 4
+
     def test_scenario_validation(self, ex1):
         with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, horizon=0.0)
