@@ -7,6 +7,7 @@ monitor violations in a non-permissive simulate run, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -64,12 +65,18 @@ def _cmd_check(args) -> int:
     sc = resolved.scenario
     z0 = cascade(sc.x0, 0.0, sc.controller, sc.reference).z
     report = check_feasibility(sc.controller, sc.bounds, z0)
-    print(report)
     # Sample the certificate's own state box |xi_i| <= p_i + v_bar_{i-1}
     # (v_bar_0 = v0_bar).  A violation disproves a premise of the verdict;
     # a clean sample proves nothing.
     caps = (sc.bounds.v0_bar,) + tuple(s.v_bar for s in sc.controller.stages)
     box = [(-(s.funnel.p + cap), s.funnel.p + cap) for s, cap in zip(sc.controller.stages, caps)]
+    for i, ((lo, hi), s, cap) in enumerate(zip(box, sc.controller.stages, caps)):
+        if not math.isfinite(hi - lo):  # the width spot_check_bounds requires
+            raise ConfigError(
+                f"at $.controller.stages[{i}].funnel: p = {s.funnel.p:g} plus the cap {cap:g} "
+                "gives the spot-check box no finite width"
+            )
+    print(report)
     families = spot_check_bounds(sc.system, sc.bounds, box, samples=_SPOT_SAMPLES)
     print(_constants_line(families, box))
     return _EXIT_OK if report.feasible and not any(any(f.violations) for f in families) else _EXIT_FAIL

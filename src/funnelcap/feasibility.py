@@ -23,8 +23,11 @@ negative gain); stage i+1 must outrun it, hence the recursion through r.
 The recursion is written once, in ``_certificate``, using only + - * / and
 sqrt, so it gives the same bits whether the envelope starts p_i are floats or
 numpy arrays that broadcast together.  ``check_feasibility`` runs it on one
-cascade; ``feasible_region`` runs it on row tiles of a grid of two-stage
-start states, with each p_i = |z_i(0)| + delta tied to the state.
+cascade.  Over a grid of two-stage start states, with each p_i = |z_i(0)| +
+delta tied to the state, ``feasible_region`` builds the mask from each
+column's feasible run, whose ends it finds by bisection, one certificate row
+per step; the margins of every cell still come from row tiles, on first read
+and in ``region_to_csv``.
 """
 
 from __future__ import annotations
@@ -114,7 +117,9 @@ def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams])
     Only slew bounds a later stage consumes are computed.  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
     same bits, since both commute exactly.  Overflow to inf or NaN is left
-    silent: a non-finite margin already reads as infeasible.
+    silent: a non-finite margin already reads as infeasible.  feasible_region
+    relies on p[1] entering only through + - * / by constants >= 0 and sqrt,
+    so that neither margin increases with it, bit for bit.
     """
     n = len(p)
     cap = bounds.v0_bar  # v_bar_{i-1}
@@ -285,27 +290,39 @@ def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityRepo
     return check_feasibility(CascadeConfig(n=len(laws), stages=laws), template.bounds, z0)
 
 
-def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
-    """The one region sweep kernel: yield (rows, margin_c1, margin_c2) per row tile.
-
-    p_1 = |x - y_d0| + deltas[0] and u_1(0) depend on x alone, so they are
-    computed once per x with the scalar stage law; p_2 = |y - u_1(0)| +
-    deltas[1] spans the grid.  The recursion runs on an (nx,) row of p_1 and
-    one tile of about _TILE_CELLS cells of p_2 at a time, so its temporaries
-    stay in cache; it is elementwise, so every cell gets check_point's bits.
-    """
-    stages = template.controller.stages
+def _columns(template: RegionTemplate, x: np.ndarray):
+    """Per-x terms of the sweep: p_1 = |x - y_d0| + deltas[0] and u_1(0),
+    the latter with the scalar stage law, since numpy's tan and arctan need
+    not match libm's bits."""
     z1 = x - template.y_d0
     p1 = np.abs(z1) + template.deltas[0]
-    u1 = np.array([_start_output(z, p, stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
+    u1 = np.array([_start_output(z, p, template.controller.stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
+    return p1, u1
+
+
+def _stage_margins(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, y: np.ndarray):
+    """Both stage margins at second states ``y`` (an (nx,) row or a (rows, 1)
+    column) over the columns' p1 and u1, with p_2 = |y - u_1(0)| + deltas[1]."""
+    p2 = y - u1
+    np.abs(p2, out=p2)
+    p2 += template.deltas[1]
+    (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
+    return m1, m2
+
+
+def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
+    """The one margin sweep kernel: yield (rows, margin_c1, margin_c2) per row tile.
+
+    p_1 and u_1(0) depend on x alone, so they are computed once per x;
+    p_2 spans the grid.  The recursion runs on an (nx,) row of p_1 and one
+    tile of about _TILE_CELLS cells of p_2 at a time, so its temporaries
+    stay in cache; it is elementwise, so every cell gets check_point's bits.
+    """
+    p1, u1 = _columns(template, x)
     rows = max(1, _TILE_CELLS // x.size)
     for start in range(0, y.size, rows):
         tile = slice(start, start + rows)
-        p2 = y[tile, None] - u1
-        np.abs(p2, out=p2)
-        p2 += template.deltas[1]
-        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), stages)
-        yield tile, m1, m2
+        yield tile, *_stage_margins(template, p1, u1, y[tile, None])
 
 
 @dataclass(frozen=True)
@@ -336,13 +353,44 @@ class RegionResult:
     margin_c2 = property(lambda self: self._margins[1], doc="Stage-2 margin per cell.")
 
 
+def _feasible_run(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, ys: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per column, how many cells of ``ys``, walking up from index ``first``,
+    are feasible before the first that is not.
+
+    The walk must move away from u_1, so the feasible cells are a prefix
+    (see feasible_region).  All columns bisect at once, one (nx,) certificate
+    row per step: cells [0, lo) are feasible and cell hi (or the axis end) is
+    not; a converged column re-probes an in-range cell and ignores it.
+    """
+    lo, hi = np.zeros_like(first), ys.size - first
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        m1, m2 = _stage_margins(template, p1, u1, ys[np.minimum(first + mid, ys.size - 1)])
+        ok = (m1 > 0.0) & (m2 > 0.0) & (lo < hi)
+        lo = np.where(ok, mid + 1, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
+
+
 def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[float]) -> RegionResult:
     """Certificate sweep over a rectangular grid of initial states.
 
-    Mask first: only the mask is kept, built tile by tile from _margin_tiles.
     A cell is feasible iff both margins are strictly positive; the start
-    condition holds by construction since deltas > 0.  Mask and margins
-    match check_point exactly at every cell.
+    condition holds by construction since deltas > 0.  Only the mask is
+    built, from each column's feasible run; the margins are re-run from the
+    tiles on first read.  Mask and margins match check_point exactly at
+    every cell.
+
+    The run is exact, not sampled.  For a fixed x, p_1 and u_1(0) are fixed
+    and p_2 = fl(|fl(y - u_1)|) + deltas[1] does not decrease as y moves away
+    from u_1 on either side.  Every operation _certificate applies to p_2 is
+    +, -, * or / by a constant >= 0, or sqrt, each monotone under
+    round-to-nearest (BoundsSpec and the stage laws keep every constant >=
+    0), so neither margin increases with p_2, and a margin that overflowed to
+    inf or NaN stays non-positive for every larger p_2.  So along ascending
+    y the feasible cells form one contiguous run on each side of u_1, and
+    _feasible_run finds the ends of both by bisection: about 2*log2(ny)
+    certificate rows per grid instead of one evaluation per cell.
     """
     x = np.array(x, dtype=float)  # copies: the result owns its axes
     y = np.array(y, dtype=float)
@@ -350,9 +398,17 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         raise ValueError("grid axes must be non-empty 1-D arrays")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("grid axes must be finite")
-    feasible = np.empty((y.size, x.size), dtype=bool)
-    for tile, m1, m2 in _margin_tiles(template, x, y):
-        np.logical_and(m1 > 0.0, m2 > 0.0, out=feasible[tile])
+    p1, u1 = _columns(template, x)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    pivot = np.searchsorted(ys, u1)  # first cell with y >= u_1
+    # Below u_1 the walk runs down the axis: up the reversed one from ny - pivot.
+    start = pivot - _feasible_run(template, p1, u1, ys[::-1], y.size - pivot)
+    stop = pivot + _feasible_run(template, p1, u1, ys, pivot)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(y.size)
+    feasible = np.less_equal(start, rank[:, None])
+    feasible &= rank[:, None] < stop
     x.flags.writeable = y.flags.writeable = feasible.flags.writeable = False
     return RegionResult(template=template, x=x, y=y, feasible=feasible)
 

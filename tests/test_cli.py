@@ -175,6 +175,18 @@ class TestCheck:
         assert "Warning" not in err
         assert "stage 1 k" not in out.split("constants:")[1]
 
+    def test_spot_check_box_without_finite_width_exits_two(self, tmp_path, capsys):
+        # p_1 + v0_bar fits a float, but the box's width 2*(p_1 + v0_bar) does not.
+        cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
+        cfg["controller"]["stages"][0]["funnel"]["p"] = 1e308
+        assert main(["check", str(write_cfg(tmp_path, cfg))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "config error: at $.controller.stages[0].funnel: p = 1e+308 plus the cap 1 "
+            "gives the spot-check box no finite width\n"
+        )
+
 
 class TestSimulate:
     def test_writes_all_artifacts(self, ex1_config_path, tmp_path, capsys):

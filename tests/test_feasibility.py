@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelcap import (
@@ -15,12 +15,14 @@ from funnelcap import (
     RegionResult,
     RegionTemplate,
     StageControllerParams,
+    builtin_system,
     check_feasibility,
     check_point,
     feasible_region,
     gain_range,
     region_to_csv,
 )
+from funnelcap import feasibility
 from funnelcap.feasibility import _TILE_CELLS, _certificate, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
@@ -304,6 +306,49 @@ def test_sweep_matches_inline_recursion_for_random_templates(data):
                 assert margin == pytest.approx(expected, rel=1e-12, abs=1e-12 * (abs(var) + abs(rhs)))
 
 
+@settings(max_examples=300)
+@given(data=st.data())
+def test_bisected_mask_is_the_full_grid_mask_for_random_templates(data):
+    # In a wild template the constants also reach 0 and 1e300 (mu > 0, so its
+    # floor is the least subnormal); y reaches 1e200, where ||delta||^2
+    # overflows and k = 0 makes the stage-2 margin NaN.  The ranges are
+    # narrower than above so that about a third of the tame grids have a
+    # column with both verdicts.  The margins come from the row tiles.
+    wild = data.draw(st.booleans())
+
+    def pair(lo, hi, ends=(0.0, 1e300)):
+        value = st.one_of(st.floats(lo, hi), st.sampled_from(ends)) if wild else st.floats(lo, hi)
+        return [data.draw(value) for _ in range(2)]
+
+    q = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+    extras = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2))
+    mus = pair(0.05, 4.0, ends=(5e-324, 1e300))
+    vbs = data.draw(st.lists(st.floats(1.0, 20.0), min_size=2, max_size=2))
+    cs = data.draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2))
+    glos = [lo * scale for lo, scale in zip(pair(1.0, 10.0), (1.0, 100.0))]
+    gext = pair(0.0, 2.0)
+    bounds = BoundsSpec(
+        k=pair(0.0, 2.0),
+        g_lo=glos,
+        g_hi=[lo + e for lo, e in zip(glos, gext)],
+        d_bar=data.draw(st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2)),
+        v0_bar=data.draw(st.floats(0.0, 1.0)),
+        r0=data.draw(st.floats(0.0, 1.0)),
+    )
+    deltas = [qi + e for qi, e in zip(q, extras)]
+    y_d0 = data.draw(st.floats(-1.0, 1.0))
+    template = RegionTemplate(controller=cascade_of(q, mus, vbs, cs), deltas=deltas, bounds=bounds, y_d0=y_d0)
+    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6)))
+    z1 = x[0] - y_d0
+    u1 = _start_output(z1, abs(z1) + deltas[0], template.controller.stages[0])
+    pool = data.draw(st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-1e200, 1e200])), min_size=1, max_size=8))
+    ys = data.draw(st.lists(st.sampled_from(pool), max_size=16))  # with repeats
+    y = np.array(data.draw(st.permutations(ys + [u1])))
+
+    res = feasible_region(template, x, y)
+    assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
+
+
 class TestMarginMonotonicity:
     def base_margins(self):
         return [s.margin for s in check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages]
@@ -547,6 +592,26 @@ class TestRegion:
         assert csv_extra < 3e6
         assert "_margins" not in res.__dict__
         assert "_margins" not in small.__dict__
+
+    @pytest.mark.parametrize("name, cells", [("pendulum_ex1", 414225), ("nonlinear_ex2", 126883)])
+    def test_bundled_masks_at_1001_match_the_full_tiles(self, name, cells):
+        region = builtin_system(name).region.with_grid(1001, 1001)
+        res = feasible_region(region.template, region.x, region.y)
+        assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
+        assert np.count_nonzero(res.feasible) == cells
+
+    def test_sweep_takes_one_certificate_row_per_bisection_step(self, monkeypatch):
+        shapes = []
+
+        def counted(bounds, p, stages):
+            shapes.append(np.shape(p[1]))
+            return _certificate(bounds, p, stages)
+
+        monkeypatch.setattr(feasibility, "_certificate", counted)
+        axis = np.linspace(-2.0, 2.0, 1001)
+        feasible_region(ex1_template(), axis, axis)
+        assert 0 < len(shapes) <= 2 * math.ceil(math.log2(axis.size + 1))
+        assert set(shapes) == {(axis.size,)}
 
     def test_csv_round_trip(self, tmp_path):
         res = feasible_region(ex1_template(), np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))
