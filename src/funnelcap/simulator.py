@@ -6,6 +6,16 @@ re-evaluated inside every sub-stage; the loop is deterministic.  Sub-steps
 scale with the recording step, so halving the step shrinks the final-state
 error by roughly 2^4.
 
+One kernel, ``advance(state, t_k, h_sub, m_k)``, takes a recording
+interval's m_k sub-steps with every stage unrolled: the control law of
+``cascade(...).u[-1]`` and the plant field of ``eval_dynamics``, term for
+term and in the same order, so its states and its errors are bit-identical
+to that loop's.  Its source is built from n and fixed text only, compiled
+once per n and cached on n; no user value is formatted into it.  Each
+scenario's constants and oracles reach it through the fresh namespace it is
+exec'd into.  The oracles f_i and g_i get the state prefix as a tuple, as
+``spot_check_bounds`` passes it.
+
 Near a settled funnel the loop is stiff: stage i's local error-feedback gain
 is about g_hi_i * |phi_lo_i| / psi_i(t), phi_lo_i being ``gain_range``'s
 steepest stage gain.  It reaches 1.6e4/s at psi_i = q_i for the built-in
@@ -39,8 +49,10 @@ about 2.79.  The sub-step rule that keeps it there lives here, once:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import textwrap
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -49,7 +61,7 @@ import numpy as np
 from .controller import THETA_EPS, CascadeConfig, cascade, gain_range
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
 from .funnel import funnel_value
-from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins, eval_dynamics
+from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins
 
 __all__ = [
     "Scenario",
@@ -74,9 +86,10 @@ _STAGE_COLUMNS = ("xi", "z", "theta", "u", "psi")
 # to spare.
 _RK4_RATIO_LIMIT = 2.5
 
-# The most sub-steps per recorded step that may be derived: at about 6 us
-# per right-hand side, 1e4 already make a 20 s run at 1 ms steps take about
-# an hour.
+# The most sub-steps per recorded step that may be derived: at about 2 us
+# per right-hand side (the bundled pendulum's 20 s run in process, 2-vCPU
+# x86 host, CPython 3.11), 1e4 already make a 20 s run at 1 ms steps take
+# about half an hour.
 _MAX_DERIVED_SUBSTEPS = 10_000
 
 
@@ -191,42 +204,114 @@ class Trajectory:
         return self.t.size
 
 
-def _control_path(config: CascadeConfig, reference):
-    """Build a fast plant-input evaluator for the RK4 inner loop.
+# The kernel's source is built from two per-stage snippets.  The control law
+# reads stage i's input {x} and the previous stage's output u at time {t} and
+# leaves stage i's output in u: cascade(...).u[-1], term for term.  The plant
+# field writes stage i's derivative {k}: eval_dynamics, term for term.
+_CONTROL_LAW = """\
+theta = ({x} - u) / (PQ{i} * exp(-MU{i} * {t}) + Q{i})
+if theta > LIMIT:
+    theta = LIMIT
+elif theta < -LIMIT:
+    theta = -LIMIT
+u = -B{i} * atan(A{i} * tan(HALF_PI * theta))
+"""
+_PLANT_FIELD = """\
+p = ({prefix},)
+{k} = F{i}(p) + G{i}(p) * {drive} + D{i}({t})
+if not isfinite({k}):
+    raise DynamicsError({i}, {t}, {k})
+"""
 
-    Performs exactly the arithmetic of cascade(...).u[-1], with per-stage
-    constants hoisted out of the loop; agreement is bit-exact and covered by
-    a regression test.
-    """
-    y_d = reference.y_d
-    consts = [
-        (
-            s.funnel.p - s.funnel.q,
-            s.funnel.q,
-            s.funnel.mu,
-            math.pi / (2.0 * s.c),
-            2.0 * s.v_bar / math.pi,
+
+def _control_source(n: int, x: str, t: str) -> str:
+    """The cascade for inputs x1..xn at time t; the plant input is left in u."""
+    return f"u = Y_D({t})\n" + "".join(_CONTROL_LAW.format(x=f"{x}{i}", i=i, t=t) for i in range(1, n + 1))
+
+
+def _rhs_source(n: int, x: str, t: str, k: str) -> str:
+    """One right-hand side: inputs x1..xn at time t, derivatives into k1..kn."""
+    xs = [f"{x}{i}" for i in range(1, n + 1)] + ["u"]
+    return (
+        _control_source(n, x, t)
+        + 'if not isfinite(u):\n    raise ValueError(f"control input must be finite, got {u}")\n'
+        + "".join(
+            _PLANT_FIELD.format(prefix=", ".join(xs[:i]), k=f"{k}{i}", i=i, drive=xs[i], t=t) for i in range(1, n + 1)
         )
-        for s in config.stages
-    ]
-    limit = 1.0 - THETA_EPS  # same guard band as clamp_theta
-    half_pi = 0.5 * math.pi
-    tan = math.tan
-    atan = math.atan
-    exp = math.exp
+    )
 
-    def u_last(state, t: float) -> float:
-        prev = y_d(t)
-        for j, (pq, q, mu, a, b) in enumerate(consts):
-            theta = (state[j] - prev) / (pq * exp(-mu * t) + q)
-            if theta > limit:
-                theta = limit
-            elif theta < -limit:
-                theta = -limit
-            prev = -b * atan(a * tan(half_pi * theta))
-        return prev
 
-    return u_last
+@functools.cache
+def _kernel_code(n: int):
+    """``u_last`` and ``advance`` for cascade order n, compiled once.
+
+    advance(state, t_k, h_sub, m_k) takes m_k classic RK4 sub-steps of
+    length h_sub from t_k, every stage unrolled, and returns the new state.
+    """
+    state = ", ".join(f"x{i}" for i in range(1, n + 1))
+
+    def each(line: str) -> str:
+        return "".join(line.format(i=i) for i in range(1, n + 1))
+
+    rk4 = (
+        "t_s = t_k + s * h_sub\nt_h = t_s + hh\nt_e = t_s + h_sub\n"
+        + _rhs_source(n, "x", "t_s", "a")
+        + each("y{i} = x{i} + hh * a{i}\n")
+        + _rhs_source(n, "y", "t_h", "b")
+        + each("y{i} = x{i} + hh * b{i}\n")
+        + _rhs_source(n, "y", "t_h", "c")
+        + each("y{i} = x{i} + h_sub * c{i}\n")
+        + _rhs_source(n, "y", "t_e", "e")
+        + each("x{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})\n")
+        + each("if not isfinite(x{i}):\n    raise DynamicsError({i}, t_e, x{i})\n")
+    )
+    source = (
+        f"def u_last(state, t):\n    {state}, = state\n"
+        + textwrap.indent(_control_source(n, "x", "t"), "    ")
+        + "    return u\n"
+        + f"def advance(state, t_k, h_sub, m_k):\n    {state}, = state\n"
+        + "    hh = 0.5 * h_sub\n    h6 = h_sub / 6.0\n    for s in range(m_k):\n"
+        + textwrap.indent(rk4, "        ")
+        + f"    return [{state}]\n"
+    )
+    return compile(source, f"<RK4 kernel, n={n}>", "exec")
+
+
+def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) -> dict:
+    """Exec n's kernel into a fresh namespace of one scenario's constants and
+    oracles; returns the namespace, which holds ``u_last`` and ``advance``."""
+    ns = {
+        "Y_D": reference.y_d,
+        "LIMIT": 1.0 - THETA_EPS,  # same guard band as clamp_theta
+        "HALF_PI": 0.5 * math.pi,
+        "exp": math.exp,
+        "tan": math.tan,
+        "atan": math.atan,
+        "isfinite": math.isfinite,
+        "DynamicsError": DynamicsError,
+    }
+    for i, s in enumerate(config.stages, 1):
+        ns.update(
+            {
+                f"PQ{i}": s.funnel.p - s.funnel.q,
+                f"Q{i}": s.funnel.q,
+                f"MU{i}": s.funnel.mu,
+                f"A{i}": math.pi / (2.0 * s.c),
+                f"B{i}": 2.0 * s.v_bar / math.pi,
+            }
+        )
+    if system is not None:
+        for i, oracles in enumerate(zip(system.f, system.g, system.d), 1):
+            ns.update(zip((f"F{i}", f"G{i}", f"D{i}"), oracles))
+    exec(_kernel_code(config.n), ns)
+    return ns
+
+
+def _control_path(config: CascadeConfig, reference):
+    """The plant input u_last(state, t): exactly the arithmetic of
+    cascade(...).u[-1], from the kernel's control snippet; agreement is
+    bit-exact and covered by a regression test."""
+    return _kernel(config, reference)["u_last"]
 
 
 def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
@@ -252,10 +337,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     table = np.empty((samples, len(_STAGE_COLUMNS) * n + 2))
     events: list[Event] = []
 
-    u_last = _control_path(cfg, ref)
-
-    def rhs(state: list[float], t: float) -> list[float]:
-        return eval_dynamics(sys_, state, u_last(state, t), t)
+    advance = _kernel(cfg, ref, sys_)["advance"]
 
     state = list(scenario.x0)
     range_n = range(n)
@@ -282,23 +364,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
         # its smallest envelopes, psi_i(t_{k+1}) as sample k + 1 records them.
         t_next = (k + 1) * h
         m_k = max(1, math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages)))
-        h_sub = h / m_k
-        for s in range(m_k):
-            t_s = t_k + s * h_sub
-            k1 = rhs(state, t_s)
-            s2 = [state[j] + 0.5 * h_sub * k1[j] for j in range_n]
-            k2 = rhs(s2, t_s + 0.5 * h_sub)
-            s3 = [state[j] + 0.5 * h_sub * k2[j] for j in range_n]
-            k3 = rhs(s3, t_s + 0.5 * h_sub)
-            s4 = [state[j] + h_sub * k3[j] for j in range_n]
-            k4 = rhs(s4, t_s + h_sub)
-            state = [
-                state[j] + (h_sub / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                for j in range_n
-            ]
-            for j in range_n:
-                if not math.isfinite(state[j]):
-                    raise DynamicsError(j + 1, t_s + h_sub, state[j])
+        state = advance(state, t_k, h / m_k, m_k)
 
     stage_cols = np.split(table[:, 1:-1], len(_STAGE_COLUMNS), axis=1)
     return Trajectory(

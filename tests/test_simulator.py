@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 import funnelcap as fc
 from funnelcap.config import resolve_config
-from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path
+from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path, _kernel
 
 ZERO_REF = fc.ReferenceSpec(y_d=lambda t: 0.0, y_d_rate=lambda t: 0.0)
 
@@ -48,23 +49,94 @@ def sub_step_schedule(sc, t):
     ]
 
 
+def counting_rhs(sc, count):
+    """sc with its last stage's disturbance wrapped to call count() first:
+    every right-hand side evaluation calls that oracle exactly once."""
+    d_last = sc.system.d[-1]
+
+    def counted(t):
+        count()
+        return d_last(t)
+
+    return dataclasses.replace(sc, system=dataclasses.replace(sc.system, d=(*sc.system.d[:-1], counted)))
+
+
 def rhs_calls_per_interval(sc, monkeypatch):
-    """Run sc with eval_dynamics counted between consecutive samples."""
+    """Run sc with its right-hand sides counted between consecutive samples."""
     counts = []
 
     def counted_cascade(*args):
         counts.append(0)
         return fc.cascade(*args)
 
-    def counted_dynamics(*args):
+    def count():
         counts[-1] += 1
-        return fc.eval_dynamics(*args)
 
     monkeypatch.setattr("funnelcap.simulator.cascade", counted_cascade)
-    monkeypatch.setattr("funnelcap.simulator.eval_dynamics", counted_dynamics)
-    traj = fc.simulate(sc)
+    traj = fc.simulate(counting_rhs(sc, count))
     assert counts[-1] == 0  # the last sample closes the run
     return traj, counts[:-1]
+
+
+def chain_scenario(n, seed, horizon=0.2, substeps=3):
+    """A seeded n-stage chain: state-dependent f_i and g_i > 0, sinusoidal
+    disturbances and reference, and envelopes that start around x0 = 0."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(0.5, 2.0, size=(3, n)).tolist()
+    system = fc.SystemSpec(
+        n=n,
+        f=tuple((lambda xs, a=a_i: a * math.sin(xs[-1]) - 0.5 * xs[0]) for a_i in a),
+        g=tuple((lambda xs, b=b_i: b + 0.25 * math.cos(sum(xs))) for b_i in b),
+        d=tuple(fc.sine_signal(0.1 * c_i, 3.0) for c_i in c),
+    )
+    stages = []
+    for v_bar, p, q, mu, shape in rng.uniform(0.5, 1.0, size=(n, 5)).tolist():
+        funnel = fc.FunnelParams(p=4.0 * p + q, q=0.1 * q, mu=2.0 * mu)
+        stages.append(fc.StageControllerParams(v_bar=5.0 * v_bar, funnel=funnel, c=2.0 * shape))
+    return fc.Scenario(
+        system=system,
+        reference=fc.sine_reference(0.5, 1.0),
+        controller=fc.CascadeConfig(n=n, stages=tuple(stages)),
+        bounds=None,
+        x0=(0.0,) * n,
+        horizon=horizon,
+        substeps=substeps,
+    )
+
+
+def reference_advance(sc, state, t_k, h_sub, m_k):
+    """The loop the RK4 kernel unrolls: m_k classic RK4 sub-steps of
+    eval_dynamics driven by cascade(...).u[-1]."""
+    n = len(state)
+
+    def rhs(s, t):
+        return fc.eval_dynamics(sc.system, s, fc.cascade(s, t, sc.controller, sc.reference).u[-1], t)
+
+    for s in range(m_k):
+        t_s = t_k + s * h_sub
+        k1 = rhs(state, t_s)
+        s2 = [state[j] + 0.5 * h_sub * k1[j] for j in range(n)]
+        k2 = rhs(s2, t_s + 0.5 * h_sub)
+        s3 = [state[j] + 0.5 * h_sub * k2[j] for j in range(n)]
+        k3 = rhs(s3, t_s + 0.5 * h_sub)
+        s4 = [state[j] + h_sub * k3[j] for j in range(n)]
+        k4 = rhs(s4, t_s + h_sub)
+        state = [state[j] + (h_sub / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) for j in range(n)]
+        for j in range(n):
+            if not math.isfinite(state[j]):
+                raise fc.DynamicsError(j + 1, t_s + h_sub, state[j])
+    return state
+
+
+def both_raise(sc, state, t_k, h_sub, m_k):
+    """The DynamicsError of the kernel and of the reference loop, as tuples."""
+    advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+    errors = []
+    for run in (advance, lambda *args: reference_advance(sc, *args)):
+        with pytest.raises(fc.DynamicsError) as err:
+            run(list(state), t_k, h_sub, m_k)
+        errors.append((err.value.stage, err.value.t, err.value.value))
+    return errors
 
 
 class TestSimulate:
@@ -150,9 +222,9 @@ class TestSimulate:
         assert 0.0 < err.value.t <= 1.0
         assert err.value.stage == 1
 
-    def test_overflowing_state_update_aborts(self, monkeypatch):
+    def test_overflowing_state_update_aborts(self):
         # Every derivative is 1e308, but the RK4 weighted sum k1 + 2*k2 + ...
-        # overflows: the state check, not eval_dynamics, must stop the run.
+        # overflows: the state check, not the right-hand side, must stop the run.
         system = fc.SystemSpec(n=1, f=(lambda xs: 1e308,), g=(lambda xs: 0.0,), d=(fc.zero_signal,))
         controller = fc.CascadeConfig(
             n=1,
@@ -161,14 +233,15 @@ class TestSimulate:
         sc = fc.Scenario(
             system=system, reference=ZERO_REF, controller=controller, bounds=None, x0=(0.0,), horizon=1.0, step=1e-3
         )
+        # g and d are 0, so f's value is the whole derivative of each evaluation.
         derivatives = []
 
-        def recorded(*args):
-            out = fc.eval_dynamics(*args)
-            derivatives.extend(out)
+        def recorded(xs):
+            out = system.f[0](xs)
+            derivatives.append(out)
             return out
 
-        monkeypatch.setattr("funnelcap.simulator.eval_dynamics", recorded)
+        sc = dataclasses.replace(sc, system=dataclasses.replace(system, f=(recorded,)))
         with pytest.raises(fc.DynamicsError) as err:
             fc.simulate(sc)
         assert (err.value.stage, err.value.t, err.value.value) == (1, 0.001, math.inf)
@@ -221,18 +294,12 @@ class TestSimulate:
         assert fc.monitor(traj, sc.controller, sc.bounds).total_violations == 0
 
     @pytest.mark.parametrize("example, rhs", [("ex1", 482_536), ("ex2", 356_584)])
-    def test_bundled_runs_take_the_pinned_rhs_evaluations(self, example, rhs, request, monkeypatch):
+    def test_bundled_runs_take_the_pinned_rhs_evaluations(self, example, rhs, request):
         # 20 s at the bundled counts, 7 (ex1) and 5 (ex2), with every
         # monitor clean; at 10 sub-steps they took 683,992 and 702,316.
         calls = []
-
-        def counted_dynamics(*args):
-            calls.append(None)
-            return fc.eval_dynamics(*args)
-
-        monkeypatch.setattr("funnelcap.simulator.eval_dynamics", counted_dynamics)
         sc = request.getfixturevalue(example).scenario
-        traj = fc.simulate(sc)
+        traj = fc.simulate(counting_rhs(sc, lambda: calls.append(None)))
         assert len(calls) == rhs
         assert fc.monitor(traj, sc.controller, sc.bounds).total_violations == 0
 
@@ -263,6 +330,74 @@ class TestSimulate:
                 state = list(rng.uniform(-4.0, 4.0, sc.system.n))
                 t = float(rng.uniform(0.0, 30.0))
                 assert u_last(state, t) == fc.cascade(state, t, sc.controller, sc.reference).u[-1]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_reference_loop_bit_for_bit(self, n):
+        sc = chain_scenario(n, seed=n)
+        advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            t_k = float(rng.uniform(0.0, 10.0))
+            # Normalized errors uniform on (-1.2, 1.2), so about one stage in
+            # six clamps, and one in ten inside the guard band's edges.
+            state, prev = [], sc.reference.y_d(t_k)
+            for stage in sc.controller.stages:
+                theta = float(rng.uniform(-1.2, 1.2))
+                if rng.random() < 0.1:
+                    theta = math.copysign(1.0 - 0.5 * fc.THETA_EPS, theta)
+                state.append(prev + theta * fc.funnel_value(stage.funnel, t_k))
+                prev = fc.stage_control(fc.clamp_theta(theta)[0], stage)
+            h_sub = float(rng.uniform(1e-5, 1e-3))
+            m_k = int(rng.integers(1, 8))
+            assert advance(list(state), t_k, h_sub, m_k) == reference_advance(sc, state, t_k, h_sub, m_k)
+
+    def test_three_stage_run_matches_the_reference_loop(self):
+        sc = chain_scenario(3, seed=11)
+        traj = fc.simulate(sc)
+        assert traj.samples == 201
+        assert np.all(np.abs(traj.z) < traj.psi)
+        state = list(sc.x0)
+        for k, m_k in enumerate(sub_step_schedule(sc, traj.t)):
+            state = reference_advance(sc, state, float(traj.t[k]), sc.step / m_k, m_k)
+            assert traj.xi[k + 1].tolist() == state
+
+    def test_non_finite_stage_two_field_raises_as_the_loop_does(self):
+        # f_2 = 1e308 * x_2 overflows once k1 has pushed x_2 past 1.8, at the
+        # first half step.
+        sc = chain_scenario(3, seed=3)
+        f = (sc.system.f[0], lambda xs: 1e308 * xs[1], sc.system.f[2])
+        sc = dataclasses.replace(sc, system=dataclasses.replace(sc.system, f=f))
+        kernel, loop = both_raise(sc, [0.0, 1.0, 0.0], 2.0, 1e-3, 3)
+        assert kernel == loop == (2, 2.0 + 0.5 * 1e-3, math.inf)
+
+    def test_overflowing_state_raises_as_the_loop_does(self):
+        # x_2's derivative jumps to 1e308 past 1.0: the first sub-step lands
+        # near 1.7e304, and the second one's weighted sum overflows.
+        sc = chain_scenario(2, seed=5)
+        system = fc.SystemSpec(
+            n=2,
+            f=(lambda xs: 0.0, lambda xs: 1e308 if xs[1] > 1.0 else 1.0),
+            g=(lambda xs: 0.0, lambda xs: 0.0),
+            d=(fc.zero_signal, fc.zero_signal),
+        )
+        sc = dataclasses.replace(sc, system=system)
+        kernel, loop = both_raise(sc, [0.0, 0.9995], 2.0, 1e-3, 3)
+        assert kernel == loop == (2, 2.0 + 1e-3 + 1e-3, math.inf)
+
+    def test_oracles_get_the_state_prefix_as_a_tuple(self, ex1):
+        seen = []
+
+        def f(xs):
+            seen.append(xs)
+            return 0.0
+
+        sc = ex1.scenario
+        system = dataclasses.replace(sc.system, f=(f, f))
+        _kernel(sc.controller, sc.reference, system)["advance"]([0.1, 0.2], 0.0, 1e-3, 1)
+        assert seen[:2] == [(0.1,), (0.1, 0.2)]
+        assert all(type(xs) is tuple for xs in seen)
 
 
 class TestMonitor:
@@ -371,6 +506,18 @@ class TestCsv:
         path = tmp_path / "trajectory.csv"
         fc.write_trajectory_csv(traj, path)
         assert path.read_bytes() == "".join(lines).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "example, digest",
+        [
+            ("ex1", "8cde7665fb1f7b8ffdf182b81abec3b5ceda5a160607c3abb2d6ef30b8eece98"),
+            ("ex2", "74e997217b197e6372b34b9f8cbfe1de872ee3e95ed34851bdd891f32bd0ea3e"),
+        ],
+    )
+    def test_full_horizon_trajectory_bytes_are_pinned(self, example, digest, request, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        fc.write_trajectory_csv(request.getfixturevalue(f"{example}_trajectory"), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_events_csv(self, ex1, tmp_path):
         sc = dataclasses.replace(ex1.scenario, x0=(2.0, 1.0), horizon=0.01)
