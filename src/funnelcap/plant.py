@@ -9,15 +9,23 @@ A plant of order n is described by per-stage scalar oracles:
     d(xi_n)/dt = f_n(xi_1..xi_n) + g_n(xi_1..xi_n) * u       + d_n(t)
 
 with f_i vanishing at the origin and g_i positive on the operating domain.
-Oracles are plain callables, so user systems plug in without subclassing.
-The paper's two examples are the bundled configs (``configs/*.json``), which
-set the parameters of the pendulum and sine-chain families below;
-``config.builtin_system`` loads them.
+Oracles are plain callables, so user systems plug in without subclassing;
+f_i and g_i get the state prefix as a tuple.  The paper's two examples are
+the bundled configs (``configs/*.json``), which set the parameters of the
+pendulum and sine-chain families below; ``config.builtin_system`` loads them.
+
+Each field of the families, and ``sine_signal``, is stated once, as
+expression text over ``{x1}..{xi}`` (state oracles) or ``{t}`` (time
+signals) and named constants.  ``_formula`` compiles the oracle from that
+text, and the oracle carries the text and its constants as ``formula``, so
+the simulator's RK4 kernel can inline the same text in place of the call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -94,7 +102,7 @@ def eval_dynamics(system: SystemSpec, state: Sequence[float], control: float, t:
     n = system.n
     out = []
     for i in range(n):
-        prefix = state[: i + 1]
+        prefix = tuple(state[: i + 1])
         drive = state[i + 1] if i < n - 1 else control
         val = system.f[i](prefix) + system.g[i](prefix) * drive + system.d[i](t)
         if not math.isfinite(val):
@@ -103,11 +111,50 @@ def eval_dynamics(system: SystemSpec, state: Sequence[float], control: float, t:
     return out
 
 
+# The functions a formula's text may call, bound by name wherever the text
+# is compiled: in its oracle and in the simulator's kernel.
+_FUNCTIONS = {"sin": math.sin}
+
+_FIELD = re.compile(r"\{(\w+)\}")
+_STATE_FIELD = re.compile(r"x([1-9][0-9]*)")
+
+
+def _fill(text: str, t: str, state: Callable[[int], str], constant: Callable[[str], str]) -> str:
+    """A formula's text with {t} read as t, each {xj} as state(j) and every
+    other field, a constant's name, as constant(name)."""
+
+    def read(field: re.Match) -> str:
+        j = _STATE_FIELD.fullmatch(field[1])
+        return t if field[1] == "t" else state(int(j[1])) if j else constant(field[1])
+
+    return _FIELD.sub(read, text)
+
+
+@functools.cache
+def _formula_maker(text: str):
+    """make(**constants) -> the oracle of text, compiled once per text: a
+    time signal of t if the text reads {t}, else a state oracle of xs."""
+    fields = dict.fromkeys(_FIELD.findall(text))
+    constants = [name for name in fields if name != "t" and not _STATE_FIELD.fullmatch(name)]
+    body = _fill(text, "t", lambda j: f"xs[{j - 1}]", str)
+    source = f"def make({', '.join(constants)}):\n    return lambda {'t' if 't' in fields else 'xs'}: {body}\n"
+    ns = dict(_FUNCTIONS)
+    exec(compile(source, f"<formula {text}>", "exec"), ns)
+    return ns["make"]
+
+
+def _formula(text: str, **constants: float):
+    """The oracle that text states, with its constants bound; it carries
+    ``formula = (text, constants)``.  Text is fixed library text, never a
+    user value."""
+    oracle = _formula_maker(text)(**constants)
+    oracle.formula = (text, constants)
+    return oracle
+
+
 def sine_signal(amp: float, freq: float) -> TimeSignal:
     """Deterministic sinusoid amp*sin(freq*t), used for disturbances."""
-    amp = float(amp)
-    freq = float(freq)
-    return lambda t: amp * math.sin(freq * t)
+    return _formula("{amp} * sin({freq} * {t})", amp=float(amp), freq=float(freq))
 
 
 def zero_signal(t: float) -> float:
@@ -136,13 +183,10 @@ def pendulum_system(
     """
     if m <= 0 or l <= 0:
         raise ValueError("pendulum mass and length must be > 0")
-    a_g = gravity / l
-    a_k = k / m
-    gain = 1.0 / (m * l * l)
     return SystemSpec(
         n=2,
-        f=(lambda xs: 0.0, lambda xs: -a_g * math.sin(xs[0]) - a_k * xs[1] + math.sin(xs[1])),
-        g=(lambda xs: 1.0, lambda xs: gain),
+        f=(_formula("0.0"), _formula("-{a_g} * sin({x1}) - {a_k} * {x2} + sin({x2})", a_g=gravity / l, a_k=k / m)),
+        g=(_formula("1.0"), _formula("{gain}", gain=1.0 / (m * l * l))),
         d=d,
     )
 
@@ -158,13 +202,13 @@ def sine_chain_system(
     stage-1 rate = a_1*sin(xi_1) + gains_1*xi_2 + d_1(t)
     stage-2 rate = a_2*sin(xi_1) + b2*xi_2 + gains_2*u + d_2(t)
     """
-    a1, a2 = float(a[0]), float(a[1])
-    g1, g2 = float(gains[0]), float(gains[1])
-    b2 = float(b2)
     return SystemSpec(
         n=2,
-        f=(lambda xs: a1 * math.sin(xs[0]), lambda xs: a2 * math.sin(xs[0]) + b2 * xs[1]),
-        g=(lambda xs: g1, lambda xs: g2),
+        f=(
+            _formula("{a} * sin({x1})", a=float(a[0])),
+            _formula("{a} * sin({x1}) + {b2} * {x2}", a=float(a[1]), b2=float(b2)),
+        ),
+        g=(_formula("{gain}", gain=float(gains[0])), _formula("{gain}", gain=float(gains[1]))),
         d=d,
     )
 

@@ -6,15 +6,10 @@ re-evaluated inside every sub-stage; the loop is deterministic.  Sub-steps
 scale with the recording step, so halving the step shrinks the final-state
 error by roughly 2^4.
 
-One kernel, ``advance(state, t_k, h_sub, m_k)``, takes a recording
-interval's m_k sub-steps with every stage unrolled: the control law of
-``cascade(...).u[-1]`` and the plant field of ``eval_dynamics``, term for
-term and in the same order, so its states and its errors are bit-identical
-to that loop's.  Its source is built from n and fixed text only, compiled
-once per n and cached on n; no user value is formatted into it.  Each
-scenario's constants and oracles reach it through the fresh namespace it is
-exec'd into.  The oracles f_i and g_i get the state prefix as a tuple, as
-``spot_check_bounds`` passes it.
+One generated kernel, built and compiled in ``_rk4``, runs the whole sample
+loop: every row is ``cascade``'s z, theta, u and psi bit for bit, and each
+interval's sub-steps are those of ``eval_dynamics`` driven by
+``cascade(...).u[-1]`` inside classic RK4, term for term.
 
 Near a settled funnel the loop is stiff: stage i's local error-feedback gain
 is about g_hi_i * |phi_lo_i| / psi_i(t), phi_lo_i being ``gain_range``'s
@@ -49,19 +44,16 @@ about 2.79.  The sub-step rule that keeps it there lives here, once:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-import textwrap
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .controller import THETA_EPS, CascadeConfig, cascade, gain_range
+from .controller import CascadeConfig, gain_range
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
-from .funnel import funnel_value
-from .plant import BoundFamilyReport, DynamicsError, ReferenceSpec, SystemSpec, _score_margins
+from .plant import BoundFamilyReport, ReferenceSpec, SystemSpec, _score_margins
 
 __all__ = [
     "Scenario",
@@ -86,10 +78,10 @@ _STAGE_COLUMNS = ("xi", "z", "theta", "u", "psi")
 # to spare.
 _RK4_RATIO_LIMIT = 2.5
 
-# The most sub-steps per recorded step that may be derived: at about 2 us
+# The most sub-steps per recorded step that may be derived: at about 1.5 us
 # per right-hand side (the bundled pendulum's 20 s run in process, 2-vCPU
 # x86 host, CPython 3.11), 1e4 already make a 20 s run at 1 ms steps take
-# about half an hour.
+# about 20 minutes.
 _MAX_DERIVED_SUBSTEPS = 10_000
 
 
@@ -204,107 +196,13 @@ class Trajectory:
         return self.t.size
 
 
-# The kernel's source is built from two per-stage snippets.  The control law
-# reads stage i's input {x} and the previous stage's output u at time {t} and
-# leaves stage i's output in u: cascade(...).u[-1], term for term.  The plant
-# field writes stage i's derivative {k}: eval_dynamics, term for term.
-_CONTROL_LAW = """\
-theta = ({x} - u) / (PQ{i} * exp(-MU{i} * {t}) + Q{i})
-if theta > LIMIT:
-    theta = LIMIT
-elif theta < -LIMIT:
-    theta = -LIMIT
-u = -B{i} * atan(A{i} * tan(HALF_PI * theta))
-"""
-_PLANT_FIELD = """\
-p = ({prefix},)
-{k} = F{i}(p) + G{i}(p) * {drive} + D{i}({t})
-if not isfinite({k}):
-    raise DynamicsError({i}, {t}, {k})
-"""
-
-
-def _control_source(n: int, x: str, t: str) -> str:
-    """The cascade for inputs x1..xn at time t; the plant input is left in u."""
-    return f"u = Y_D({t})\n" + "".join(_CONTROL_LAW.format(x=f"{x}{i}", i=i, t=t) for i in range(1, n + 1))
-
-
-def _rhs_source(n: int, x: str, t: str, k: str) -> str:
-    """One right-hand side: inputs x1..xn at time t, derivatives into k1..kn."""
-    xs = [f"{x}{i}" for i in range(1, n + 1)] + ["u"]
-    return (
-        _control_source(n, x, t)
-        + 'if not isfinite(u):\n    raise ValueError(f"control input must be finite, got {u}")\n'
-        + "".join(
-            _PLANT_FIELD.format(prefix=", ".join(xs[:i]), k=f"{k}{i}", i=i, drive=xs[i], t=t) for i in range(1, n + 1)
-        )
-    )
-
-
-@functools.cache
-def _kernel_code(n: int):
-    """``u_last`` and ``advance`` for cascade order n, compiled once.
-
-    advance(state, t_k, h_sub, m_k) takes m_k classic RK4 sub-steps of
-    length h_sub from t_k, every stage unrolled, and returns the new state.
-    """
-    state = ", ".join(f"x{i}" for i in range(1, n + 1))
-
-    def each(line: str) -> str:
-        return "".join(line.format(i=i) for i in range(1, n + 1))
-
-    rk4 = (
-        "t_s = t_k + s * h_sub\nt_h = t_s + hh\nt_e = t_s + h_sub\n"
-        + _rhs_source(n, "x", "t_s", "a")
-        + each("y{i} = x{i} + hh * a{i}\n")
-        + _rhs_source(n, "y", "t_h", "b")
-        + each("y{i} = x{i} + hh * b{i}\n")
-        + _rhs_source(n, "y", "t_h", "c")
-        + each("y{i} = x{i} + h_sub * c{i}\n")
-        + _rhs_source(n, "y", "t_e", "e")
-        + each("x{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})\n")
-        + each("if not isfinite(x{i}):\n    raise DynamicsError({i}, t_e, x{i})\n")
-    )
-    source = (
-        f"def u_last(state, t):\n    {state}, = state\n"
-        + textwrap.indent(_control_source(n, "x", "t"), "    ")
-        + "    return u\n"
-        + f"def advance(state, t_k, h_sub, m_k):\n    {state}, = state\n"
-        + "    hh = 0.5 * h_sub\n    h6 = h_sub / 6.0\n    for s in range(m_k):\n"
-        + textwrap.indent(rk4, "        ")
-        + f"    return [{state}]\n"
-    )
-    return compile(source, f"<RK4 kernel, n={n}>", "exec")
-
-
 def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) -> dict:
-    """Exec n's kernel into a fresh namespace of one scenario's constants and
-    oracles; returns the namespace, which holds ``u_last`` and ``advance``."""
-    ns = {
-        "Y_D": reference.y_d,
-        "LIMIT": 1.0 - THETA_EPS,  # same guard band as clamp_theta
-        "HALF_PI": 0.5 * math.pi,
-        "exp": math.exp,
-        "tan": math.tan,
-        "atan": math.atan,
-        "isfinite": math.isfinite,
-        "DynamicsError": DynamicsError,
-    }
-    for i, s in enumerate(config.stages, 1):
-        ns.update(
-            {
-                f"PQ{i}": s.funnel.p - s.funnel.q,
-                f"Q{i}": s.funnel.q,
-                f"MU{i}": s.funnel.mu,
-                f"A{i}": math.pi / (2.0 * s.c),
-                f"B{i}": 2.0 * s.v_bar / math.pi,
-            }
-        )
-    if system is not None:
-        for i, oracles in enumerate(zip(system.f, system.g, system.d), 1):
-            ns.update(zip((f"F{i}", f"G{i}", f"D{i}"), oracles))
-    exec(_kernel_code(config.n), ns)
-    return ns
+    """``_rk4._kernel``, imported on first use, so that a process that never
+    simulates (``check``, ``region``) neither compiles nor holds the kernel
+    generator."""
+    from ._rk4 import _kernel
+
+    return _kernel(config, reference, system)
 
 
 def _control_path(config: CascadeConfig, reference):
@@ -317,54 +215,34 @@ def _control_path(config: CascadeConfig, reference):
 def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     """Integrate the closed loop and record states, errors, and stage outputs.
 
-    Each sample's z, theta, u and psi come from one cascade evaluation, psi_i
-    being the envelope value that z_i was divided by.  The start must satisfy
-    |z_i(0)| < psi_i(0) for every stage; it is read from recorded sample 0.
+    The kernel records each sample with the cascade's arithmetic, psi_i
+    being the envelope value that z_i was divided by, and reports each clamp
+    with its raw z_i / psi_i.  The start must satisfy |z_i(0)| < psi_i(0)
+    for every stage; it is read from recorded sample 0 before integrating.
     Violations raise TrivialConditionError unless ``permissive`` is set, in
     which case they are logged and the clamped controller runs anyway.  A
     non-finite state aborts with DynamicsError at the failure time.  Identical
     scenarios produce bit-identical trajectories.
     """
-    sys_ = scenario.system
-    ref = scenario.reference
-    cfg = scenario.controller
-    n = sys_.n
-    h = scenario.step
-    steps = int(round(scenario.horizon / h))  # >= 1, since horizon >= step
-    samples = steps + 1
-    m = scenario.substeps
+    n = scenario.system.n
+    steps = int(round(scenario.horizon / scenario.step))  # >= 1, since horizon >= step
+    table = np.empty((steps + 1, len(_STAGE_COLUMNS) * n + 2))
+    kernel = _kernel(scenario.controller, scenario.reference, scenario.system)
 
-    table = np.empty((samples, len(_STAGE_COLUMNS) * n + 2))
+    sats: list[tuple[float, int, float]] = []
+    table[0] = row = kernel["record"](scenario.x0, 0.0, sats)
     events: list[Event] = []
-
-    advance = _kernel(cfg, ref, sys_)["advance"]
-
-    state = list(scenario.x0)
-    range_n = range(n)
-    for k in range(samples):
-        t_k = k * h
-        dec = cascade(state, t_k, cfg, ref)
-        if k == 0:
-            for i in range_n:
-                if abs(dec.z[i]) >= dec.psi[i]:
-                    if not permissive:
-                        raise TrivialConditionError(
-                            f"|z_{i + 1}(0)| = {abs(dec.z[i]):.6g} is not strictly inside "
-                            f"psi_{i + 1}(0) = {dec.psi[i]:.6g}; pass permissive=True to run clamped"
-                        )
-                    events.append(Event(t=0.0, kind="trivial_violation", stage=i + 1, value=dec.z[i]))
-        for i in range_n:
-            if dec.saturated[i]:
-                events.append(Event(t=t_k, kind="saturation", stage=i + 1, value=dec.z[i] / dec.psi[i]))
-        table[k] = (t_k, *state, *dec.z, *dec.theta, *dec.u, *dec.psi, ref.y_d(t_k))
-        if k == steps:
-            break
-
-        # Classic RK4 over the recording interval, in m_k sub-steps sized for
-        # its smallest envelopes, psi_i(t_{k+1}) as sample k + 1 records them.
-        t_next = (k + 1) * h
-        m_k = max(1, math.ceil(m * max(st.funnel.q / funnel_value(st.funnel, t_next) for st in cfg.stages)))
-        state = advance(state, t_k, h / m_k, m_k)
+    # Row layout: t, then xi, z, theta, u, psi n wide each, then y_d.
+    for i, (z, psi) in enumerate(zip(row[1 + n : 1 + 2 * n], row[1 + 4 * n : 1 + 5 * n]), 1):
+        if abs(z) >= psi:
+            if not permissive:
+                raise TrivialConditionError(
+                    f"|z_{i}(0)| = {abs(z):.6g} is not strictly inside "
+                    f"psi_{i}(0) = {psi:.6g}; pass permissive=True to run clamped"
+                )
+            events.append(Event(t=0.0, kind="trivial_violation", stage=i, value=z))
+    kernel["run"](table, scenario.x0, steps, scenario.step, scenario.substeps, sats)
+    events.extend(Event(t=t, kind="saturation", stage=i, value=v) for t, i, v in sats)
 
     stage_cols = np.split(table[:, 1:-1], len(_STAGE_COLUMNS), axis=1)
     return Trajectory(

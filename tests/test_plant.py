@@ -75,6 +75,19 @@ class TestEvalDynamics:
         eval_dynamics(sys_, [1.0, 2.0], 0.0, 0.0)
         assert seen == [1]
 
+    def test_oracles_get_the_state_prefix_as_a_tuple(self):
+        # As the simulator and spot_check_bounds pass it, also for a list state.
+        seen = []
+
+        def oracle(xs):
+            seen.append(xs)
+            return 1.0
+
+        sys_ = SystemSpec(n=2, f=(oracle, oracle), g=(oracle, oracle), d=(zero_signal, zero_signal))
+        eval_dynamics(sys_, [1.0, 2.0], 0.0, 0.0)
+        assert seen == [(1.0,), (1.0,), (1.0, 2.0), (1.0, 2.0)]
+        assert all(type(xs) is tuple for xs in seen)
+
 
 class TestBuiltins:
     def test_pendulum_example_constants(self, ex1):

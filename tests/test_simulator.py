@@ -8,6 +8,7 @@ import pytest
 
 import funnelcap as fc
 from funnelcap.config import resolve_config
+from funnelcap.plant import _formula
 from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path, _kernel
 
 ZERO_REF = fc.ReferenceSpec(y_d=lambda t: 0.0, y_d_rate=lambda t: 0.0)
@@ -62,20 +63,29 @@ def counting_rhs(sc, count):
 
 
 def rhs_calls_per_interval(sc, monkeypatch):
-    """Run sc with its right-hand sides counted between consecutive samples."""
+    """Run sc with its right-hand sides counted per call of the kernel's
+    advance, which integrates one recording interval."""
     counts = []
+    kernel = _kernel
 
-    def counted_cascade(*args):
-        counts.append(0)
-        return fc.cascade(*args)
+    def counted_kernel(*args):
+        ns = kernel(*args)
+        advance = ns["advance"]
+
+        def counted_advance(*args):
+            counts.append(0)
+            return advance(*args)
+
+        ns["advance"] = counted_advance
+        return ns
 
     def count():
         counts[-1] += 1
 
-    monkeypatch.setattr("funnelcap.simulator.cascade", counted_cascade)
+    monkeypatch.setattr("funnelcap.simulator._kernel", counted_kernel)
     traj = fc.simulate(counting_rhs(sc, count))
-    assert counts[-1] == 0  # the last sample closes the run
-    return traj, counts[:-1]
+    assert len(counts) == traj.samples - 1
+    return traj, counts
 
 
 def chain_scenario(n, seed, horizon=0.2, substeps=3):
@@ -126,6 +136,23 @@ def reference_advance(sc, state, t_k, h_sub, m_k):
             if not math.isfinite(state[j]):
                 raise fc.DynamicsError(j + 1, t_s + h_sub, state[j])
     return state
+
+
+def assert_rows_are_cascades(sc, traj):
+    """Each row's z, theta, u and psi are cascade(xi_k, t_k) bit for bit, its
+    y_d is reference.y_d(t_k), and the saturation events are the cascade's
+    clamp flags, each valued z_i / psi_i."""
+    decisions = [fc.cascade(xi, t, sc.controller, sc.reference) for xi, t in zip(traj.xi.tolist(), traj.t.tolist())]
+    for name in ("z", "theta", "u", "psi"):
+        assert getattr(traj, name).tobytes() == np.array([getattr(d, name) for d in decisions]).tobytes()
+    assert traj.y_d.tobytes() == np.array([sc.reference.y_d(t) for t in traj.t.tolist()]).tobytes()
+    clamps = [
+        (t, i + 1, d.z[i] / d.psi[i])
+        for t, d in zip(traj.t.tolist(), decisions)
+        for i in range(sc.system.n)
+        if d.saturated[i]
+    ]
+    assert [(e.t, e.stage, e.value) for e in traj.events if e.kind == "saturation"] == clamps
 
 
 def both_raise(sc, state, t_k, h_sub, m_k):
@@ -196,17 +223,21 @@ class TestSimulate:
         start_clamps = [j for j, e in enumerate(traj.events) if e.kind == "saturation" and e.t == 0.0]
         assert start_clamps and max(trivial) < min(start_clamps)
 
-    def test_one_cascade_evaluation_per_sample(self, ex1, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_bundled_rows_are_the_cascade_at_each_sample(self, example, request):
+        sc = request.getfixturevalue(example).scenario
+        assert_rows_are_cascades(sc, request.getfixturevalue(f"{example}_trajectory"))
 
-        def counted(*args):
-            calls.append(args[1])
-            return fc.cascade(*args)
+    def test_clamped_rows_are_the_cascade_at_each_sample(self, ex1):
+        sc = dataclasses.replace(ex1.scenario, x0=(1.8, 1.0), horizon=0.5)
+        traj = fc.simulate(sc, permissive=True)
+        assert len(traj.events) == 203
+        assert_rows_are_cascades(sc, traj)
 
-        monkeypatch.setattr("funnelcap.simulator.cascade", counted)
-        traj = fc.simulate(ex1.scenario.with_overrides(horizon=0.05))
-        assert len(calls) == traj.samples
-        assert calls == traj.t.tolist()
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_chain_rows_are_the_cascade_at_each_sample(self, n):
+        sc = chain_scenario(n, seed=11)
+        assert_rows_are_cascades(sc, fc.simulate(sc))
 
     def test_dynamics_blowup_aborts_with_time(self):
         system = fc.SystemSpec(n=1, f=(lambda xs: xs[0] * xs[0],), g=(lambda xs: 1e-6,), d=(fc.zero_signal,))
@@ -398,6 +429,78 @@ class TestKernel:
         _kernel(sc.controller, sc.reference, system)["advance"]([0.1, 0.2], 0.0, 1e-3, 1)
         assert seen[:2] == [(0.1,), (0.1, 0.2)]
         assert all(type(xs) is tuple for xs in seen)
+
+
+def old_pendulum(m, l, k, gravity):
+    """The pendulum family's oracles as they were written before its text."""
+    a_g, a_k, gain = gravity / l, k / m, 1.0 / (m * l * l)
+    f = (lambda xs: 0.0, lambda xs: -a_g * math.sin(xs[0]) - a_k * xs[1] + math.sin(xs[1]))
+    return f, (lambda xs: 1.0, lambda xs: gain)
+
+
+def old_sine_chain(a, b2, gains):
+    """The sine-chain family's oracles as they were written before its text."""
+    a1, a2, g1, g2 = *a, *gains
+    f = (lambda xs: a1 * math.sin(xs[0]), lambda xs: a2 * math.sin(xs[0]) + b2 * xs[1])
+    return f, (lambda xs: g1, lambda xs: g2)
+
+
+class TestFormulas:
+    SPECIAL = [0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300, 1e16, math.nan]
+
+    def test_family_oracles_equal_the_old_lambdas_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        values = rng.uniform(-10.0, 10.0, 200).tolist() + self.SPECIAL
+        pairs = [(x, y) for x in values[:60] + self.SPECIAL for y in values[::7]]
+        for _ in range(5):
+            m, l, k, grav, a1, a2, b2, g1, g2 = rng.uniform(0.01, 20.0, 9).tolist()
+            for new, old in (
+                (fc.pendulum_system(m=m, l=l, k=k, gravity=grav), old_pendulum(m, l, k, grav)),
+                (fc.sine_chain_system(a=(a1, -a2), b2=-b2, gains=(g1, g2)), old_sine_chain((a1, -a2), -b2, (g1, g2))),
+            ):
+                for oracles, old_oracles in zip((new.f, new.g), old):
+                    for i, (oracle, old_oracle) in enumerate(zip(oracles, old_oracles)):
+                        got = [oracle(p[: i + 1]).hex() for p in pairs]
+                        assert got == [old_oracle(p[: i + 1]).hex() for p in pairs]
+            signal = fc.sine_signal(a1, -a2)
+            assert [signal(t).hex() for t in values] == [(a1 * math.sin(-a2 * t)).hex() for t in values]
+
+    def test_a_constant_named_like_a_kernel_constant_cannot_collide(self, monkeypatch):
+        # The control law's namespace binds A1, B2 and LIMIT too; the slot
+        # prefix keeps these apart (F1_A1, F2_B2, ...).  Without the prefix,
+        # as patched below, the kernel refuses the constant A1 instead of
+        # running silently on one of the two values.
+        sc = chain_scenario(2, seed=2)
+        f = (_formula("{A1} * sin({x1})", A1=0.5), _formula("{B2} * {x2} - {LIMIT} * {x1}", B2=1.5, LIMIT=0.25))
+        sc = dataclasses.replace(sc, system=dataclasses.replace(sc.system, f=f))
+        advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+        for state in ([0.1, -0.2], [0.4, 0.3]):
+            assert advance(list(state), 1.0, 1e-3, 3) == reference_advance(sc, state, 1.0, 1e-3, 3)
+        monkeypatch.setattr("funnelcap._rk4._CONSTANT_KEY", "{name}")
+        with pytest.raises(ValueError, match="kernel name A1 is already bound"):
+            _kernel(sc.controller, sc.reference, sc.system)
+
+    def test_mixed_formula_and_plain_oracles_match_the_reference_loop(self, ex1):
+        # Stage 2's drift and stage 1's gain are plain callables, the rest
+        # inlined formulas: each slot takes its own path in the same kernel.
+        (_, f2), (g1, _) = old_pendulum(0.01, 1.0, 0.01, 9.8)
+        sc = ex1.scenario
+        mixed = dataclasses.replace(sc.system, f=(sc.system.f[0], f2), g=(g1, sc.system.g[1]))
+        sc = dataclasses.replace(sc, system=mixed, horizon=0.2)
+        advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            state = rng.uniform(-0.5, 0.5, 2).tolist()
+            t_k = float(rng.uniform(0.0, 10.0))
+            assert advance(list(state), t_k, 1e-4, 2) == reference_advance(sc, state, t_k, 1e-4, 2)
+        assert fc.simulate(sc).xi.tobytes() == fc.simulate(ex1.scenario.with_overrides(horizon=0.2)).xi.tobytes()
+
+    def test_families_share_one_compiled_kernel(self, ex1):
+        a = _kernel(ex1.scenario.controller, ex1.scenario.reference, ex1.scenario.system)
+        other = fc.pendulum_system(m=0.02, l=2.0, d=(fc.sine_signal(0.1, 2.0), fc.sine_signal(0.3, 1.0)))
+        b = _kernel(ex1.scenario.controller, fc.sine_reference(0.2, 3.0), other)
+        assert a["run"].__code__ is b["run"].__code__
+        assert (a["F2_a_g"], b["F2_a_g"]) == (9.8, 4.9)
 
 
 class TestMonitor:
