@@ -60,6 +60,12 @@ __all__ = [
 _TILE_CELLS = 16384
 
 
+def _row_tiles(ny: int, nx: int, cells: int = _TILE_CELLS):
+    """Slices of whole rows of an (ny, nx) grid, about ``cells`` cells each."""
+    rows = max(1, cells // nx)
+    return (slice(start, start + rows) for start in range(0, ny, rows))
+
+
 @dataclass(frozen=True)
 class BoundsSpec:
     """Known constants the certificate is evaluated against.
@@ -116,34 +122,35 @@ def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams])
     and phi_lo come from the stage laws ``stages``, whose starts are unused.
     Only slew bounds a later stage consumes are computed.  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
-    same bits, since both commute exactly.  Overflow to inf or NaN is left
-    silent: a non-finite margin already reads as infeasible.  feasible_region
-    relies on p[1] entering only through + - * / by constants >= 0 and sqrt,
-    so that neither margin increases with it, bit for bit.
+    same bits, since both commute exactly; sqrt is math.sqrt on floats, so a
+    scalar run stays in Python floats.  Overflow to inf or NaN is left silent
+    (_stage_margins wraps array runs in np.errstate): a non-finite margin
+    already reads as infeasible.  feasible_region relies on p[1] entering
+    only through + - * / by constants >= 0 and sqrt, so that neither margin
+    increases with it, bit for bit.
     """
     n = len(p)
     cap = bounds.v0_bar  # v_bar_{i-1}
     sq = 0.0  # running ||delta_i||^2
     r = bounds.r0
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, stage in enumerate(stages):
-            d = p[i] + cap
-            d *= d
-            d += sq
-            sq = d
-            varphi = np.sqrt(sq)
-            varphi *= bounds.k[i]
-            varphi += bounds.d_bar[i]
-            varphi += bounds.g_hi[i] * stage.v_bar
-            r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
-            varphi = r
-            if i + 1 < n:
-                varphi = bounds.g_hi[i] * p[i + 1] + varphi
-                r = _slew(varphi, p[i], stage)
-            rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * stage.v_bar + stage.funnel.mu * (stage.funnel.q - p[i])
-            out.append((varphi, rhs, rhs - varphi))
-            cap = stage.v_bar
+    for i, stage in enumerate(stages):
+        d = p[i] + cap
+        d *= d
+        d += sq
+        sq = d
+        varphi = np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+        varphi *= bounds.k[i]
+        varphi += bounds.d_bar[i]
+        varphi += bounds.g_hi[i] * stage.v_bar
+        r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
+        varphi = r
+        if i + 1 < n:
+            varphi = bounds.g_hi[i] * p[i + 1] + varphi
+            r = _slew(varphi, p[i], stage)
+        rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * stage.v_bar + stage.funnel.mu * (stage.funnel.q - p[i])
+        out.append((varphi, rhs, rhs - varphi))
+        cap = stage.v_bar
     return out
 
 
@@ -208,14 +215,13 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     p = [s.funnel.p for s in config.stages]
     stages = []
     for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, config.stages)):
-        varphi_i = float(varphi_i)  # r in Python floats: overflow stays silent
         z0_i = float(z0[i])
         stages.append(
             StageFeasibility(
                 stage=i + 1,
                 varphi=varphi_i,
                 rhs=rhs_i,
-                margin=float(margin_i),
+                margin=margin_i,
                 r=_slew(varphi_i, p[i], config.stages[i]),
                 p=p[i],
                 z0=z0_i,
@@ -306,7 +312,8 @@ def _stage_margins(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, y: 
     p2 = y - u1
     np.abs(p2, out=p2)
     p2 += template.deltas[1]
-    (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
     return m1, m2
 
 
@@ -319,9 +326,7 @@ def _margin_tiles(template: RegionTemplate, x: np.ndarray, y: np.ndarray):
     stay in cache; it is elementwise, so every cell gets check_point's bits.
     """
     p1, u1 = _columns(template, x)
-    rows = max(1, _TILE_CELLS // x.size)
-    for start in range(0, y.size, rows):
-        tile = slice(start, start + rows)
+    for tile in _row_tiles(y.size, x.size):
         yield tile, *_stage_margins(template, p1, u1, y[tile, None])
 
 
@@ -390,7 +395,8 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     inf or NaN stays non-positive for every larger p_2.  So along ascending
     y the feasible cells form one contiguous run on each side of u_1, and
     _feasible_run finds the ends of both by bisection: about 2*log2(ny)
-    certificate rows per grid instead of one evaluation per cell.
+    certificate rows per grid instead of one evaluation per cell, each run
+    under np.errstate in _stage_margins.
     """
     x = np.array(x, dtype=float)  # copies: the result owns its axes
     y = np.array(y, dtype=float)
@@ -403,12 +409,19 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     ys = y[order]
     pivot = np.searchsorted(ys, u1)  # first cell with y >= u_1
     # Below u_1 the walk runs down the axis: up the reversed one from ny - pivot.
-    start = pivot - _feasible_run(template, p1, u1, ys[::-1], y.size - pivot)
-    stop = pivot + _feasible_run(template, p1, u1, ys, pivot)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(y.size)
-    feasible = np.less_equal(start, rank[:, None])
-    feasible &= rank[:, None] < stop
+    # Ranks and run ends lie in [0, ny]: in the narrowest type holding ny
+    # (uint16 at 1001 rows) the mask's compares run ~5x faster than in int64.
+    narrow = np.min_scalar_type(y.size)
+    start = (pivot - _feasible_run(template, p1, u1, ys[::-1], y.size - pivot)).astype(narrow)
+    stop = (pivot + _feasible_run(template, p1, u1, ys, pivot)).astype(narrow)
+    rank = np.empty(y.size, narrow)
+    rank[order] = np.arange(y.size, dtype=narrow)
+    # Row tiles of a margin tile's bytes keep the second compare's
+    # temporary in cache, not a second full-grid mask.
+    feasible = np.empty((y.size, x.size), dtype=bool)
+    for tile in _row_tiles(y.size, x.size, 8 * _TILE_CELLS):
+        np.less_equal(start, rank[tile, None], out=feasible[tile])
+        feasible[tile] &= rank[tile, None] < stop
     x.flags.writeable = y.flags.writeable = feasible.flags.writeable = False
     return RegionResult(template=template, x=x, y=y, feasible=feasible)
 

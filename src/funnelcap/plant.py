@@ -161,6 +161,9 @@ def zero_signal(t: float) -> float:
     return 0.0
 
 
+zero_signal.formula = ("0.0", {})  # the kernel inlines the default d_i
+
+
 def sine_reference(amp: float, freq: float) -> ReferenceSpec:
     """Reference y_d = amp*sin(freq*t) with its exact derivative."""
     amp = float(amp)

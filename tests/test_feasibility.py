@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import repeat
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from funnelcap import (
     region_to_csv,
 )
 from funnelcap import feasibility
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _start_output, _write_csv
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _slew, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -349,6 +350,62 @@ def test_bisected_mask_is_the_full_grid_mask_for_random_templates(data):
     assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
 
 
+def bits(values):
+    """The IEEE bit patterns of float values, so -0.0 and each NaN compare exactly."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# 0, the least subnormal, a larger subnormal and 1e300 (positive-only
+# constants skip 0).
+EXTREMES = (0.0, 5e-324, 1e-310, 1e300)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_scalar_certificate_matches_one_element_arrays_bit_for_bit(n, data):
+    # check_feasibility runs the recursion on Python floats, the sweep on
+    # arrays; both must give the same bits, NaN and +/-inf included, and the
+    # scalar path must raise no warning of its own.  Only a wild cascade
+    # takes its constants from EXTREMES too.
+    wild = data.draw(st.booleans())
+
+    def draw(lo, hi, positive=False):
+        ends = EXTREMES[1:] if positive else EXTREMES
+        value = st.one_of(st.floats(lo, hi), st.sampled_from(ends)) if wild else st.floats(lo, hi)
+        return [data.draw(value) for _ in range(n)]
+
+    q, mu, v_bar, c = draw(0.01, 2.0, True), draw(0.05, 4.0, True), draw(0.1, 20.0, True), draw(0.3, 3.0, True)
+    extra, g_lo, g_ext = draw(0.0, 3.0), draw(0.0, 10.0), draw(0.0, 90.0)
+    config = CascadeConfig(
+        n=n,
+        stages=tuple(
+            StageControllerParams(v_bar=v_bar[i], c=c[i], funnel=FunnelParams(p=q[i] + extra[i], q=q[i], mu=mu[i]))
+            for i in range(n)
+        ),
+    )
+    bounds = BoundsSpec(
+        k=draw(0.0, 15.0),
+        g_lo=g_lo,
+        g_hi=[lo + e for lo, e in zip(g_lo, g_ext)],
+        d_bar=draw(0.0, 2.0),
+        v0_bar=draw(0.0, 3.0)[0],
+        r0=draw(0.0, 3.0)[0],
+    )
+    z = st.floats(allow_nan=False, allow_infinity=False) if wild else st.floats(-3.0, 3.0)
+    z0 = data.draw(st.lists(z, min_size=n, max_size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_feasibility(config, bounds, z0)
+    p = [np.array([s.funnel.p]) for s in config.stages]
+    with np.errstate(all="ignore"):
+        rows = _certificate(bounds, p, config.stages)
+        slews = [_slew(varphi, p_i, law) for (varphi, _, _), p_i, law in zip(rows, p, config.stages)]
+    for s, (varphi, rhs, margin), r in zip(report.stages, rows, slews):
+        assert bits([s.varphi, s.rhs, s.margin, s.r]) == bits([varphi[0], rhs[0], margin[0], r[0]])
+        for name in ("varphi", "rhs", "margin", "r", "p", "z0", "trivial_margin"):
+            assert type(getattr(s, name)) is float, name
+
+
 class TestMarginMonotonicity:
     def base_margins(self):
         return [s.margin for s in check_feasibility(ex1_config(), ex1_bounds(), [0.0, 0.0]).stages]
@@ -599,6 +656,41 @@ class TestRegion:
         res = feasible_region(region.template, region.x, region.y)
         assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
         assert np.count_nonzero(res.feasible) == cells
+
+    @pytest.mark.parametrize("ny", [255, 256, 65535, 65536])
+    def test_narrow_rank_mask_at_the_dtype_boundaries(self, ny):
+        # Ranks and run ends are stored in the narrowest unsigned type that
+        # holds ny: uint8 up to 255 rows, uint16 up to 65535.  On the y axis
+        # (shuffled, with repeats and u_1 of the middle column on it) the
+        # first column's run reaches the top rank, so its end is ny itself,
+        # and the last column's run starts at rank 0.
+        template = ex1_template()
+        x = np.array([-0.6, 0.0, 0.4])
+        pool = np.linspace(-3.0, 3.0, ny - 3)
+        z1 = x[1] - template.y_d0
+        u1 = _start_output(z1, abs(z1) + template.deltas[0], template.controller.stages[0])
+        y = np.random.default_rng(ny).permutation(np.concatenate([pool, pool[[1, -1]], [u1]]))
+        res = feasible_region(template, x, y)
+        assert res.feasible.dtype == bool and not res.feasible.flags.writeable
+        assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
+        top, bottom = np.argmax(y), np.argmin(y)
+        assert res.feasible[top, 0] and res.feasible[bottom, 2] and not res.feasible.all(axis=0).any()
+
+    def test_check_point_certifies_through_check_feasibility(self, monkeypatch):
+        # check_point runs check_feasibility, looked up on the module, once
+        # per probe; the benchmark traces it as the one nested span.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_feasibility(*args)
+
+        monkeypatch.setattr(feasibility, "check_feasibility", counted)
+        template = ex1_template()
+        for k, (x, y) in enumerate([(-0.5, 1.0), (0.0, 0.0), (1.9, -1.9), (1e17, 0.0)]):
+            report = check_point(template, x, y)
+            assert len(calls) == k + 1
+            assert report == check_feasibility(*calls[-1])
 
     def test_sweep_takes_one_certificate_row_per_bisection_step(self, monkeypatch):
         shapes = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import funnelcap as fc
+from funnelcap import _rk4
 from funnelcap.config import resolve_config
 from funnelcap.plant import _formula
 from funnelcap.simulator import _CSV_BLOCK_ROWS, _control_path, _kernel
@@ -494,6 +495,27 @@ class TestFormulas:
             t_k = float(rng.uniform(0.0, 10.0))
             assert advance(list(state), t_k, 1e-4, 2) == reference_advance(sc, state, t_k, 1e-4, 2)
         assert fc.simulate(sc).xi.tobytes() == fc.simulate(ex1.scenario.with_overrides(horizon=0.2)).xi.tobytes()
+
+    def test_default_disturbances_are_inlined(self, ex1, monkeypatch):
+        # zero_signal carries the formula "0.0", so a family built with its
+        # default disturbances makes no D_i call per right-hand side.
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(_rk4, "compile", spy, raising=False)
+        _rk4._kernel_code.cache_clear()
+        sc = dataclasses.replace(ex1.scenario, system=fc.pendulum_system())
+        advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+        assert len(sources) == 1
+        assert "D1(" not in sources[0] and "D2(" not in sources[0]
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            state = rng.uniform(-0.5, 0.5, 2).tolist()
+            t_k = float(rng.uniform(0.0, 10.0))
+            assert advance(list(state), t_k, 1e-4, 2) == reference_advance(sc, state, t_k, 1e-4, 2)
 
     def test_families_share_one_compiled_kernel(self, ex1):
         a = _kernel(ex1.scenario.controller, ex1.scenario.reference, ex1.scenario.system)
