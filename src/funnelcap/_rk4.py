@@ -67,11 +67,10 @@ def _slots(n: int) -> tuple[str, ...]:
 
 @functools.cache
 def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
-    """``u_last``, ``advance``, ``record`` and ``run`` for cascade order n,
-    compiled once per n and (slot, text) pairs of the inlined formulas; a
-    slot not among them calls the oracle bound to its name.
+    """``advance``, ``record`` and ``run`` for cascade order n, compiled
+    once per n and (slot, text) pairs of the inlined formulas; a slot not
+    among them calls the oracle bound to its name.
 
-    - u_last(state, t) is the plant input cascade(state, t, ...).u[-1].
     - advance(state, t_k, h_sub, m_k) takes m_k classic RK4 sub-steps of
       length h_sub from t_k, every stage unrolled, and returns the new state.
     - record(state, t, sats) returns sample t's table row and appends each
@@ -104,19 +103,15 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
         out = envelopes(t, tag) + (f"yd{tag} = {oracle('Y_D', t, t, 'x')}\n" if "Y_D" in texts else "")
         return out + "".join(f"d{i}{tag} = {oracle(f'D{i}', t, t, 'x')}\n" for i in stages if f"D{i}" in texts)
 
-    def control(x: str, y_d: str, psi) -> str:
-        """The cascade for inputs x1..xn, reference y_d and envelopes psi(i);
-        the plant input is left in u."""
-        return f"u = {y_d}\n" + "".join(
-            _CONTROL_LAW.format(theta="theta", z=f"({x}{i} - u)", psi=psi(i), on_clamp="", i=i) for i in stages
-        )
-
     def rhs(x: str, t: str, tag: str, k: str) -> str:
         """One right-hand side: inputs x1..xn at time t, whose time terms
         carry tag, derivatives into k1..kn."""
         xs = [f"{x}{i}" for i in stages] + ["u"]
         y_d = f"yd{tag}" if "Y_D" in texts else f"Y_D({t})"
-        out = control(x, y_d, lambda i: f"psi{i}{tag}") + _FINITE_INPUT
+        out = f"u = {y_d}\n"
+        for i in stages:
+            out += _CONTROL_LAW.format(theta="theta", z=f"({x}{i} - u)", psi=f"psi{i}{tag}", on_clamp="", i=i)
+        out += _FINITE_INPUT
         for i in stages:
             if f"F{i}" not in texts or f"G{i}" not in texts:
                 out += f"p = ({', '.join(xs[:i])},)\n"
@@ -164,12 +159,8 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
         + record("t")
         + "table[k] = row\n"
     )
-    u_last = control("x", oracle("Y_D", "t", "t", "x"), lambda i: f"({_ENVELOPE.format(i=i, t='t')})")
     source = (
-        f"def u_last(state, t):\n    {state}, = state\n"
-        + textwrap.indent(u_last, "    ")
-        + "    return u\n"
-        + f"def advance(state, t_k, h_sub, m_k):\n    {state}, = state\n"
+        f"def advance(state, t_k, h_sub, m_k):\n    {state}, = state\n"
         + "    hh = 0.5 * h_sub\n    h6 = h_sub / 6.0\n    for s in range(m_k):\n"
         + textwrap.indent(rk4, "        ")
         + f"    return [{state}]\n"

@@ -206,10 +206,10 @@ def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) 
 
 
 def _control_path(config: CascadeConfig, reference):
-    """The plant input u_last(state, t): exactly the arithmetic of
-    cascade(...).u[-1], from the kernel's control snippet; agreement is
-    bit-exact and covered by a regression test."""
-    return _kernel(config, reference)["u_last"]
+    """The plant input u(state, t), read as u_n off the kernel's ``record``
+    row: cascade(...).u[-1] bit for bit, as a regression test holds it."""
+    record = _kernel(config, reference)["record"]
+    return lambda state, t: record(state, t, [])[4 * config.n]
 
 
 def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
@@ -223,17 +223,22 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     which case they are logged and the clamped controller runs anyway.  A
     non-finite state aborts with DynamicsError at the failure time.  Identical
     scenarios produce bit-identical trajectories.
+
+    Samples are recorded every ``step`` from t = 0 up to the last one at or
+    before the horizon; a ratio horizon / step within a relative 1e-9 below
+    a whole number counts as that number (2.0 / 1e-5 is 199999.99999999997).
     """
-    n = scenario.system.n
-    steps = int(round(scenario.horizon / scenario.step))  # >= 1, since horizon >= step
-    table = np.empty((steps + 1, len(_STAGE_COLUMNS) * n + 2))
+    # >= 1, since horizon >= step; near the float maximum, min() leaves numpy
+    # to refuse the table as too large.
+    steps = math.floor(min(scenario.horizon / scenario.step * (1.0 + 1e-9), sys.float_info.max))
+    table = np.empty((steps + 1, len(_STAGE_COLUMNS) * scenario.system.n + 2))
+    columns = dict(zip(_STAGE_COLUMNS, np.split(table[:, 1:-1], len(_STAGE_COLUMNS), axis=1)))
     kernel = _kernel(scenario.controller, scenario.reference, scenario.system)
 
     sats: list[tuple[float, int, float]] = []
-    table[0] = row = kernel["record"](scenario.x0, 0.0, sats)
+    table[0] = kernel["record"](scenario.x0, 0.0, sats)
     events: list[Event] = []
-    # Row layout: t, then xi, z, theta, u, psi n wide each, then y_d.
-    for i, (z, psi) in enumerate(zip(row[1 + n : 1 + 2 * n], row[1 + 4 * n : 1 + 5 * n]), 1):
+    for i, (z, psi) in enumerate(zip(columns["z"][0].tolist(), columns["psi"][0].tolist()), 1):
         if abs(z) >= psi:
             if not permissive:
                 raise TrivialConditionError(
@@ -244,10 +249,7 @@ def simulate(scenario: Scenario, permissive: bool = False) -> Trajectory:
     kernel["run"](table, scenario.x0, steps, scenario.step, scenario.substeps, sats)
     events.extend(Event(t=t, kind="saturation", stage=i, value=v) for t, i, v in sats)
 
-    stage_cols = np.split(table[:, 1:-1], len(_STAGE_COLUMNS), axis=1)
-    return Trajectory(
-        t=table[:, 0], **dict(zip(_STAGE_COLUMNS, stage_cols)), y_d=table[:, -1], events=tuple(events)
-    )
+    return Trajectory(t=table[:, 0], **columns, y_d=table[:, -1], events=tuple(events))
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,37 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return path
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """A fresh interpreter that imports the funnelcap these tests import,
+    installed or not."""
     src = str(Path(fc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "funnelcap", "dump-defaults"], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_python("-m", "funnelcap", "dump-defaults")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == fc.dump_defaults("pendulum_ex1")
+
+
+# check and region never import the kernel generator, whose compile would
+# count in their peak memory; simulate imports it on first use.
+KERNEL_IMPORTS = """\
+import sys
+from funnelcap.cli import main
+cfg, out = sys.argv[1:]
+assert main(["check", cfg]) == 0
+assert main(["region", cfg, "--grid", "21x21", "--out", out]) == 0
+assert "funnelcap._rk4" not in sys.modules
+assert main(["simulate", cfg, "--horizon", "0.01", "--out", out]) == 0
+assert "funnelcap._rk4" in sys.modules
+"""
+
+
+def test_only_simulate_loads_the_kernel_generator(ex1_config_path, tmp_path):
+    proc = run_python("-c", KERNEL_IMPORTS, str(ex1_config_path), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def edit_bundled_substeps(new) -> str:
@@ -313,12 +336,14 @@ class TestSimulate:
 
     def test_impossible_horizon_is_a_runtime_failure(self, ex1_config_path, tmp_path, capsys):
         # 1e16 samples need far more than the address space: the sample table
-        # is refused at once, and reported like any other runtime failure.
+        # is refused at once, and reported like any other runtime failure;
+        # so is a sample count at the float maximum.
         out = tmp_path / "runout"
-        assert main(["simulate", str(ex1_config_path), "--out", str(out), "--horizon", "1e13"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
+        for flags in (["--horizon", "1e13"], ["--horizon", "1.7976931348623157e308", "--step", "1"]):
+            assert main(["simulate", str(ex1_config_path), "--out", str(out), *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestRegion:

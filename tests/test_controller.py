@@ -72,6 +72,8 @@ class TestStageControl:
     def test_rejects_bad_params(self, v_bar, c):
         with pytest.raises(ValueError):
             make_stage(v_bar, c=c)
+        with pytest.raises(TypeError):
+            StageControllerParams(v_bar=1.0, funnel=(1.0, 0.1, 1.0))
 
 
 class TestStageGain:
@@ -200,6 +202,8 @@ class TestCascade:
     def test_stage_count_must_match_order(self):
         with pytest.raises(ValueError):
             CascadeConfig(n=3, stages=ex1_cascade().stages)
+        with pytest.raises(ValueError):
+            CascadeConfig(n=0, stages=())
 
 
 theta_st = st.floats(min_value=-(1.0 - 1e-9), max_value=1.0 - 1e-9)

@@ -515,6 +515,9 @@ class TestRegion:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             feasible_region(ex1_template(), np.array([]), np.array([0.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                feasible_region(ex1_template(), np.array([0.0, bad]), np.array([0.0]))
 
     def test_template_validation(self):
         ex1 = cascade_of(q=(0.05, 0.05), mu=(0.9, 1.0), v_bar=(4.5, 8.0))

@@ -151,6 +151,8 @@ class TestSpotCheck:
             spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(-1.0, 1.0)], samples=10)
         with pytest.raises(ValueError):
             spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(1.0, -1.0), (-1.0, 1.0)], samples=10)
+        with pytest.raises(ValueError):
+            spot_check_bounds(ex1.scenario.system, ex1.scenario.bounds, [(-1.0, 1.0), (-1.0, 1.0)], samples=0)
         # non-finite ends, and a span hi - lo that overflows, are refused up
         # front rather than by numpy's OverflowError
         for first in ((-2.0, math.nan), (-math.inf, 2.0), (-1e308, 1e308)):
@@ -215,6 +217,11 @@ class TestSpecValidation:
     def test_system_spec_lengths(self):
         with pytest.raises(ValueError):
             SystemSpec(n=2, f=(lambda xs: 0.0,), g=(lambda xs: 1.0, lambda xs: 1.0), d=(zero_signal, zero_signal))
+        with pytest.raises(ValueError):
+            SystemSpec(n=0, f=(), g=(), d=())
+        for m, l in ((0.0, 1.0), (0.01, -1.0)):
+            with pytest.raises(ValueError):
+                pendulum_system(m=m, l=l)
 
     def test_bounds_spec_guards(self):
         with pytest.raises(ValueError):
@@ -223,3 +230,5 @@ class TestSpecValidation:
             BoundsSpec(k=(0.0, 0.0), g_lo=(2.0, 1.0), g_hi=(1.0, 1.0), d_bar=(0.0, 0.0), v0_bar=1.0, r0=0.5)
         with pytest.raises(ValueError):
             BoundsSpec(k=(0.0,), g_lo=(1.0, 1.0), g_hi=(1.0, 1.0), d_bar=(0.0, 0.0), v0_bar=1.0, r0=0.5)
+        with pytest.raises(ValueError):
+            BoundsSpec(k=(), g_lo=(), g_hi=(), d_bar=(), v0_bar=1.0, r0=0.5)

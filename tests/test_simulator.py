@@ -193,6 +193,29 @@ class TestSimulate:
         assert traj.xi.shape == (20001, 2)
         assert traj.psi.shape == (20001, 2)
 
+    @pytest.mark.parametrize(
+        "horizon, step, steps",
+        # 0.0015 and 0.0035 lie halfway between samples; 2.0 / 1e-5 is 199999.99999999997.
+        [(0.0015, 1e-3, 1), (0.0025, 1e-3, 2), (0.0035, 1e-3, 3), (2.0, 1e-5, 200_000), (20.0, 1e-3, 20_000)],
+    )
+    def test_every_sample_up_to_the_horizon_is_recorded(self, horizon, step, steps, monkeypatch):
+        sc = identity_scenario(horizon=horizon, step=step)
+        if steps < 10:
+            t = fc.simulate(sc).t
+            assert t.tolist() == [k * step for k in range(steps + 1)]
+            assert t[-1] <= horizon < t[-1] + step
+        # The table's size, with the kernel's run skipped, so that long horizons stay cheap.
+        seen = []
+
+        def kernel(*args):
+            ns = _kernel(*args)
+            ns["run"] = lambda table, state, steps, *rest: seen.append((len(table), steps))
+            return ns
+
+        monkeypatch.setattr("funnelcap.simulator._kernel", kernel)
+        fc.simulate(sc)
+        assert seen == [(steps + 1, steps)]
+
     def test_pendulum_envelopes_hold(self, ex1_trajectory):
         traj = ex1_trajectory
         assert np.all(np.abs(traj.z) < traj.psi)
@@ -292,6 +315,13 @@ class TestSimulate:
             dataclasses.replace(ex1.scenario, x0=(0.0,))
         with pytest.raises(ValueError):
             dataclasses.replace(ex1.scenario, x0=(math.inf, 0.0))
+        # a controller or bounds of another order than the system
+        one = chain_scenario(1, seed=1).controller
+        with pytest.raises(ValueError, match="controller has 1 stages"):
+            dataclasses.replace(ex1.scenario, controller=one)
+        short = fc.BoundsSpec(k=(0.0,), g_lo=(1.0,), g_hi=(1.0,), d_bar=(0.0,), v0_bar=1.0, r0=0.5)
+        with pytest.raises(ValueError, match="bounds cover 1 stages"):
+            dataclasses.replace(ex1.scenario, bounds=short)
 
     def test_scenario_refuses_overflowing_counts(self, ex1):
         # horizon / step past the float range, and a sub-step count that
@@ -362,6 +392,17 @@ class TestSimulate:
                 state = list(rng.uniform(-4.0, 4.0, sc.system.n))
                 t = float(rng.uniform(0.0, 30.0))
                 assert u_last(state, t) == fc.cascade(state, t, sc.controller, sc.reference).u[-1]
+
+    def test_control_path_refuses_a_nan_reference_as_cascade_does(self, ex1):
+        # The plant input is read off the recorded row, so the kernel's
+        # finite-input check applies; the kernel generates no other law.
+        sc = ex1.scenario
+        nan_reference = fc.ReferenceSpec(y_d=lambda t: math.nan, y_d_rate=lambda t: 0.0)
+        assert "u_last" not in _kernel(sc.controller, sc.reference, sc.system)
+        with pytest.raises(ValueError):
+            fc.cascade([0.0, 0.0], 1.0, sc.controller, nan_reference)
+        with pytest.raises(ValueError):
+            _control_path(sc.controller, nan_reference)([0.0, 0.0], 1.0)
 
 
 class TestKernel:
@@ -575,6 +616,9 @@ class TestMonitor:
         short = fc.BoundsSpec(k=(0.0,), g_lo=(1.0,), g_hi=(1.0,), d_bar=(0.0,), v0_bar=1.0, r0=0.5)
         with pytest.raises(ValueError):
             fc.monitor(ex1_trajectory, ex1.scenario.controller, short)
+        one_sample = dataclasses.replace(ex1_trajectory, t=ex1_trajectory.t[:1])
+        with pytest.raises(ValueError, match="at least two samples"):
+            fc.monitor(one_sample, ex1.scenario.controller, ex1.scenario.bounds)
 
     def test_chain_rule_consistency_shrinks_quadratically(self, ex1):
         # du/dt should equal gain(theta) * dtheta/dt up to discretization error
