@@ -25,9 +25,10 @@ sqrt, so it gives the same bits whether the envelope starts p_i are floats or
 numpy arrays that broadcast together.  ``check_feasibility`` runs it on one
 cascade.  Over a grid of two-stage start states, with each p_i = |z_i(0)| +
 delta tied to the state, ``feasible_region`` builds the mask from each
-column's feasible run, whose ends it finds by bisection, one certificate row
-per step; the margins of every cell still come from row tiles, on first read
-and in ``region_to_csv``.
+column's feasible run, whose ends it guesses from the closed-form band in
+``_band`` and proves, or else finds by bisection, one certificate row per
+step; the margins of every cell still come from row tiles, on first read and
+in ``region_to_csv``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import CascadeConfig, StageControllerParams, clamp_theta, gain_range, stage_control
+from .controller import _HALF_PI, THETA_EPS, CascadeConfig, StageControllerParams, _check_theta, clamp_theta, gain_range, stage_control
 from .funnel import FunnelParams
 
 __all__ = [
@@ -214,21 +215,14 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
         raise ValueError(f"z0 has length {len(z0)}, expected {n}")
     p = [s.funnel.p for s in config.stages]
     stages = []
+    feasible = True
     for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, config.stages)):
         z0_i = float(z0[i])
-        stages.append(
-            StageFeasibility(
-                stage=i + 1,
-                varphi=varphi_i,
-                rhs=rhs_i,
-                margin=margin_i,
-                r=_slew(varphi_i, p[i], config.stages[i]),
-                p=p[i],
-                z0=z0_i,
-                trivial_margin=p[i] - abs(z0_i),
-            )
-        )
-    return FeasibilityReport(stages=tuple(stages), feasible=all(s.feasible for s in stages))
+        trivial_i = p[i] - abs(z0_i)
+        # fields in declaration order: stage, varphi, rhs, margin, r, p, z0, trivial_margin
+        stages.append(StageFeasibility(i + 1, varphi_i, rhs_i, margin_i, _slew(varphi_i, p[i], config.stages[i]), p[i], z0_i, trivial_i))
+        feasible = feasible and margin_i > 0.0 and trivial_i > 0.0  # StageFeasibility.feasible
+    return FeasibilityReport(tuple(stages), feasible)
 
 
 @dataclass(frozen=True)
@@ -249,6 +243,8 @@ class RegionTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "y_d0", float(self.y_d0))
+        if not math.isfinite(self.y_d0):
+            raise ValueError(f"reference value y_d0 must be finite, got {self.y_d0}")
         if not self.controller.n == len(self.deltas) == self.bounds.n == 2:
             raise ValueError("region sweeps are two-stage: controller, deltas and bounds must cover 2 stages")
         # p_i = |z_i(0)| + deltas[i] must be finite and reach the steady-state
@@ -256,6 +252,11 @@ class RegionTemplate:
         # stays valid; written so that a NaN offset fails too.
         if not all(s.funnel.q <= d < math.inf for d, s in zip(self.deltas, self.controller.stages)):
             raise ValueError("each envelope offset must be finite and >= the matching steady-state bound q")
+
+    @cached_property
+    def _offsets(self) -> tuple:
+        """_start_chain's per-stage (v_bar, c, p, delta, q, mu), with p None."""
+        return tuple((s.v_bar, s.c, None, d, s.funnel.q, s.funnel.mu) for s, d in zip(self.controller.stages, self.deltas))
 
 
 def _start_output(z: float, p: float, law: StageControllerParams) -> float:
@@ -291,18 +292,30 @@ def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityRepo
     check_feasibility; its report carries each stage's p and z(0).  Does per
     cell the arithmetic feasible_region does per grid, so the two agree bit
     for bit."""
-    offsets = [(s.v_bar, s.c, None, d, s.funnel.q, s.funnel.mu) for s, d in zip(template.controller.stages, template.deltas)]
-    laws, z0 = zip(*_start_chain(offsets, (float(x), float(y)), template.y_d0))
-    return check_feasibility(CascadeConfig(n=len(laws), stages=laws), template.bounds, z0)
+    (law1, z1), (law2, z2) = _start_chain(template._offsets, (float(x), float(y)), template.y_d0)
+    return check_feasibility(CascadeConfig(2, (law1, law2)), template.bounds, (z1, z2))
 
 
 def _columns(template: RegionTemplate, x: np.ndarray):
-    """Per-x terms of the sweep: p_1 = |x - y_d0| + deltas[0] and u_1(0),
-    the latter with the scalar stage law, since numpy's tan and arctan need
-    not match libm's bits."""
-    z1 = x - template.y_d0
-    p1 = np.abs(z1) + template.deltas[0]
-    u1 = np.array([_start_output(z, p, template.controller.stages[0]) for z, p in zip(z1.tolist(), p1.tolist())])
+    """Per-x terms of the sweep: p_1 = |x - y_d0| + deltas[0] and u_1(0).
+
+    u_1(0) is _start_output over the whole row: the division, clamp and
+    products of clamp_theta and stage_control in numpy, which round as
+    Python floats do, and tan and atan from libm through math, since numpy's
+    need not match its bits.  A z_1/p_1 that is not finite is refused as the
+    scalar law refuses it.
+    """
+    law = template.controller.stages[0]
+    limit = 1.0 - THETA_EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = x - template.y_d0
+        p1 = np.abs(z1) + template.deltas[0]
+        theta = np.clip(z1 / p1, -limit, limit)  # NaN passes the clamp
+    if np.isnan(theta).any():
+        _check_theta(math.nan)
+    theta *= _HALF_PI
+    inner = (math.pi / (2.0 * law.c)) * np.fromiter(map(math.tan, theta.tolist()), float, theta.size)
+    u1 = -(2.0 * law.v_bar / math.pi) * np.fromiter(map(math.atan, inner.tolist()), float, inner.size)
     return p1, u1
 
 
@@ -358,22 +371,28 @@ class RegionResult:
     margin_c2 = property(lambda self: self._margins[1], doc="Stage-2 margin per cell.")
 
 
-def _feasible_run(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, ys: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _feasible_run(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, ys: np.ndarray, first: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Per column, how many cells of ``ys``, walking up from index ``first``,
     are feasible before the first that is not.
 
     The walk must move away from u_1, so the feasible cells are a prefix
     (see feasible_region).  All columns bisect at once, one (nx,) certificate
     row per step: cells [0, lo) are feasible and cell hi (or the axis end) is
-    not; a converged column re-probes an in-range cell and ignores it.
+    not.  The first two steps probe cells ``guess`` - 1 and ``guess``, and a
+    prefix of exactly ``guess`` cells passes the first and fails the second,
+    which proves the run length; the columns they leave open bisect from
+    midpoints.  A step whose cell lies outside [lo, hi) changes nothing, so
+    a wrong guess costs rows, never bits.
     """
     lo, hi = np.zeros_like(first), ys.size - first
+    mids = [guess, guess - 1]  # popped from the end
     while (lo < hi).any():
-        mid = (lo + hi) // 2
-        m1, m2 = _stage_margins(template, p1, u1, ys[np.minimum(first + mid, ys.size - 1)])
-        ok = (m1 > 0.0) & (m2 > 0.0) & (lo < hi)
-        lo = np.where(ok, mid + 1, lo)
-        hi = np.where(ok, hi, mid)
+        mid = mids.pop() if mids else (lo + hi) // 2
+        m1, m2 = _stage_margins(template, p1, u1, ys[np.clip(first + mid, 0, ys.size - 1)])
+        ok = (m1 > 0.0) & (m2 > 0.0)
+        step = (lo <= mid) & (mid < hi)
+        lo = np.where(step & ok, mid + 1, lo)
+        hi = np.where(step & ~ok, mid, hi)
     return lo
 
 
@@ -393,10 +412,13 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     round-to-nearest (BoundsSpec and the stage laws keep every constant >=
     0), so neither margin increases with p_2, and a margin that overflowed to
     inf or NaN stays non-positive for every larger p_2.  So along ascending
-    y the feasible cells form one contiguous run on each side of u_1, and
-    _feasible_run finds the ends of both by bisection: about 2*log2(ny)
-    certificate rows per grid instead of one evaluation per cell, each run
-    under np.errstate in _stage_margins.
+    y the feasible cells form one contiguous run on each side of u_1.  The
+    closed-form band in _band guesses each run's length (the cells within w
+    of u_1), then _feasible_run verifies the guess with two certificate rows
+    and bisects only the columns it misses: 4 rows per grid when every guess
+    holds, at most 2*(2 + ceil(log2(ny + 1))), instead of one evaluation per
+    cell, each run under np.errstate in _stage_margins.  The guess never
+    decides a cell, so a wrong one costs rows, never bits.
     """
     x = np.array(x, dtype=float)  # copies: the result owns its axes
     y = np.array(y, dtype=float)
@@ -408,12 +430,15 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     order = np.argsort(y, kind="stable")
     ys = y[order]
     pivot = np.searchsorted(ys, u1)  # first cell with y >= u_1
+    from ._band import run_guesses  # on first use: a process that never sweeps does not compile it
+
+    down, up = run_guesses(template, p1, u1, ys, pivot)
     # Below u_1 the walk runs down the axis: up the reversed one from ny - pivot.
     # Ranks and run ends lie in [0, ny]: in the narrowest type holding ny
     # (uint16 at 1001 rows) the mask's compares run ~5x faster than in int64.
     narrow = np.min_scalar_type(y.size)
-    start = (pivot - _feasible_run(template, p1, u1, ys[::-1], y.size - pivot)).astype(narrow)
-    stop = (pivot + _feasible_run(template, p1, u1, ys, pivot)).astype(narrow)
+    start = (pivot - _feasible_run(template, p1, u1, ys[::-1], y.size - pivot, down)).astype(narrow)
+    stop = (pivot + _feasible_run(template, p1, u1, ys, pivot, up)).astype(narrow)
     rank = np.empty(y.size, narrow)
     rank[order] = np.arange(y.size, dtype=narrow)
     # Row tiles of a margin tile's bytes keep the second compare's

@@ -24,7 +24,8 @@ from funnelcap import (
     region_to_csv,
 )
 from funnelcap import feasibility
-from funnelcap.feasibility import _TILE_CELLS, _certificate, _slew, _start_output, _write_csv
+from funnelcap import _band
+from funnelcap.feasibility import _TILE_CELLS, _certificate, _columns, _feasible_run, _slew, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -350,9 +351,86 @@ def test_bisected_mask_is_the_full_grid_mask_for_random_templates(data):
     assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
 
 
+def random_template(rng):
+    """A two-stage template with constants drawn from the tame ranges of the
+    sweep tests above; each k_i is 0 in about half the draws."""
+    q = rng.uniform(0.01, 1.0, 2)
+    glos = rng.uniform(1.0, 10.0, 2) * (1.0, 100.0)
+    bounds = BoundsSpec(
+        k=rng.uniform(0.0, 2.0, 2) * rng.integers(0, 2, 2),
+        g_lo=glos,
+        g_hi=glos + rng.uniform(0.0, 2.0, 2),
+        d_bar=rng.uniform(0.0, 0.5, 2),
+        v0_bar=rng.uniform(0.0, 1.0),
+        r0=rng.uniform(0.0, 1.0),
+    )
+    controller = cascade_of(q, rng.uniform(0.05, 4.0, 2), rng.uniform(1.0, 20.0, 2), rng.uniform(0.3, 3.0, 2))
+    return RegionTemplate(controller, q + rng.uniform(0.0, 2.0, 2), bounds, rng.uniform(-1.0, 1.0))
+
+
+WIDTH_GUESSES = {
+    "zero": lambda rng, n: np.zeros(n),
+    "inf": lambda rng, n: np.full(n, math.inf),
+    "nan": lambda rng, n: np.full(n, math.nan),
+    "random": lambda rng, n: rng.uniform(-1.0, 6.0, n),
+}
+
+
+@pytest.mark.parametrize("guess", sorted(WIDTH_GUESSES))
+def test_any_band_width_gives_the_full_grid_mask(guess, monkeypatch):
+    # The band only seeds the search: with a width that is 0, inf, NaN or
+    # random in every column, the mask is still the certificate's.
+    rng = np.random.default_rng(sorted(WIDTH_GUESSES).index(guess))
+    monkeypatch.setattr(_band, "half_width", lambda template, p1: WIDTH_GUESSES[guess](rng, p1.size))
+    split = 0  # columns with both verdicts
+    for template in [ex1_template(), ex2_template()] + [random_template(rng) for _ in range(40)]:
+        x = rng.uniform(-3.0, 3.0, rng.integers(1, 12))
+        z1 = x[0] - template.y_d0
+        u1 = _start_output(z1, abs(z1) + template.deltas[0], template.controller.stages[0])
+        pool = rng.uniform(-5.0, 5.0, rng.integers(1, 40))
+        y = rng.permutation(np.concatenate([rng.choice(pool, rng.integers(0, 60)), pool, [u1]]))  # with repeats
+        res = feasible_region(template, x, y)
+        assert np.array_equal(res.feasible, (res.margin_c1 > 0.0) & (res.margin_c2 > 0.0))
+        split += np.count_nonzero(res.feasible.any(axis=0) & ~res.feasible.all(axis=0))
+    assert split > 0
+
+
 def bits(values):
     """The IEEE bit patterns of float values, so -0.0 and each NaN compare exactly."""
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_start_row_matches_the_scalar_law_bit_for_bit(data):
+    # u_1(0) over a row equals _start_output per x, -0.0 included; far
+    # cells, where z_1/p_1 rounds past 1 - THETA_EPS, take the clamp.
+    q = data.draw(st.floats(0.01, 1.0))
+    delta = q + data.draw(st.floats(0.0, 2.0))
+    controller = cascade_of((q, 0.05), (1.0, 1.0), (data.draw(st.floats(0.1, 50.0)), 8.0), (data.draw(st.floats(0.05, 5.0)), HALF_PI))
+    y_d0 = data.draw(st.floats(-10.0, 10.0))
+    template = RegionTemplate(controller=controller, deltas=(delta, 0.1), bounds=ex1_bounds(), y_d0=y_d0)
+    near = st.floats(-20.0, 20.0)
+    far = st.floats(-1e300, 1e300).filter(lambda v: abs(v) > 1e12)
+    x = data.draw(st.lists(st.one_of(near, far, st.just(y_d0)), min_size=1, max_size=30)) + [y_d0 - 1e17, y_d0 + 1e17]
+    law = template.controller.stages[0]
+    p1, u1 = _columns(template, np.array(x))
+    assert bits(p1) == bits([abs(v - y_d0) + delta for v in x])
+    assert bits(u1) == bits([_start_output(v - y_d0, abs(v - y_d0) + delta, law) for v in x])
+
+
+def test_start_row_refuses_a_ratio_that_is_not_finite():
+    # x - y_d0 overflows to inf, so z_1/p_1 = inf/inf is NaN: refused as the
+    # scalar law refuses it, with no numpy warning.
+    template = RegionTemplate(controller=ex1_config(), deltas=(0.5, 0.1), bounds=ex1_bounds(), y_d0=-1e308)
+    with pytest.raises(ValueError, match="theta must be finite") as scalar:
+        _start_output(math.inf, math.inf, template.controller.stages[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: _columns(template, np.array([0.0, 1e308])), lambda: feasible_region(template, [0.0, 1e308], [0.0])):
+            with pytest.raises(ValueError) as row:
+                run()
+            assert str(row.value) == str(scalar.value)
 
 
 # 0, the least subnormal, a larger subnormal and 1e300 (positive-only
@@ -529,6 +607,9 @@ class TestRegion:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 RegionTemplate(controller=ex1, deltas=(0.5, bad), bounds=ex1_bounds())
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="y_d0 must be finite"):
+                RegionTemplate(controller=ex1, deltas=(0.5, 0.1), bounds=ex1_bounds(), y_d0=bad)
         short = BoundsSpec(k=(0.0,), g_lo=(1.0,), g_hi=(1.0,), d_bar=(0.0,), v0_bar=1.0, r0=0.5)
         with pytest.raises(ValueError):
             RegionTemplate(controller=ex1, deltas=(0.5, 0.1), bounds=short)
@@ -707,6 +788,35 @@ class TestRegion:
         feasible_region(ex1_template(), axis, axis)
         assert 0 < len(shapes) <= 2 * math.ceil(math.log2(axis.size + 1))
         assert set(shapes) == {(axis.size,)}
+
+    @pytest.mark.parametrize("name", ["pendulum_ex1", "nonlinear_ex2"])
+    def test_bundled_sweep_at_1001_takes_four_certificate_rows(self, name, monkeypatch):
+        # the band's guess holds in every column: one row for cell guess - 1
+        # and one for cell guess, per direction
+        shapes = []
+
+        def counted(bounds, p, stages):
+            shapes.append(np.shape(p[1]))
+            return _certificate(bounds, p, stages)
+
+        monkeypatch.setattr(feasibility, "_certificate", counted)
+        region = builtin_system(name).region.with_grid(1001, 1001)
+        feasible_region(region.template, region.x, region.y)
+        assert shapes == [(1001,)] * 4
+
+    @pytest.mark.parametrize("name", ["pendulum_ex1", "nonlinear_ex2"])
+    def test_band_predicts_every_run_end_at_1001(self, name):
+        # column by column, the run lengths guessed from w are the ones the
+        # certificate rows verify, searched here without a guess
+        region = builtin_system(name).region.with_grid(1001, 1001)
+        template, ys = region.template, region.y
+        p1, u1 = _columns(template, region.x)
+        pivot = np.searchsorted(ys, u1)
+        down, up = _band.run_guesses(template, p1, u1, ys, pivot)
+        blind = np.zeros_like(pivot)
+        assert np.array_equal(up, _feasible_run(template, p1, u1, ys, pivot, blind))
+        assert np.array_equal(down, _feasible_run(template, p1, u1, ys[::-1], ys.size - pivot, blind))
+        assert (up > 0).any() and (down > 0).any() and (up + down < ys.size).any()
 
     def test_csv_round_trip(self, tmp_path):
         res = feasible_region(ex1_template(), np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))
