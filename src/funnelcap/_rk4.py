@@ -6,18 +6,17 @@ sub-steps with every stage unrolled: the control law of
 ``cascade(...).u[-1]`` and the plant field of ``eval_dynamics``, term for
 term and in the same order, so its states and its errors are bit-identical
 to that loop's.  The one exception to the order: each term that reads only
-the time (the envelopes, and y_d and d_i when inlined) is evaluated once per
-distinct time, ahead of the stages that use it, so RK4's two half-step
-stages share theirs; a math error in an inlined d_i can therefore surface
-before an error of an earlier stage at the same time.  ``run`` sizes each
-interval with ``funnel_value``'s arithmetic, calls ``advance`` once per
-interval and records each sample from the same control-law snippet, so every
-row is ``cascade``'s z, theta, u and psi bit for bit.  An oracle built by
-the library (the pendulum and sine-chain fields, ``sine_signal``) carries
-its expression text, which the kernel inlines in place of the call; any
-other callable is called, and f_i and g_i get the state prefix as a tuple,
-as ``spot_check_bounds`` passes it.  The source is built from n and fixed
-library text only, compiled once per n and inlined texts and cached; no user
+the time (the envelopes, y_d and each d_i) is evaluated once per distinct
+time, ahead of the stages that use it, so RK4's two half-step stages share
+theirs; an error in d_i can therefore surface before an error of an earlier
+stage at the same time.  ``run`` sizes each interval with
+``funnel_value``'s arithmetic, calls ``advance`` once per interval and
+records each sample from the same control-law snippet, so every row is
+``cascade``'s z, theta, u and psi bit for bit.  Every oracle slot is inlined
+as formula text: an oracle built by the library (``plant._formula``,
+``zero_signal``) carries its own, and any other callable gets the text of a
+call to itself, ``_call_text``.  The source is built from n and fixed
+library text only, compiled once per n and slot texts and cached; no user
 value is formatted into it.  Each scenario's constants and oracles reach it
 through the fresh namespace it is exec'd into, which refuses to bind any
 name twice.
@@ -29,7 +28,7 @@ import functools
 import math
 import textwrap
 
-from .controller import THETA_EPS, CascadeConfig
+from .controller import _HALF_PI, _THETA_LIMIT, CascadeConfig
 from .plant import _FUNCTIONS, DynamicsError, SystemSpec, _fill
 
 
@@ -37,8 +36,8 @@ from .plant import _FUNCTIONS, DynamicsError, SystemSpec, _fill
 # divides stage i's error {z} by its envelope {psi} into {theta}, runs
 # {on_clamp} ahead of a clamp and leaves stage i's output in u:
 # cascade(...).u[-1], term for term.  The plant field writes stage i's
-# derivative {k}: eval_dynamics, term for term, where each of {f}, {g} and
-# {d} calls the slot's oracle or inlines the formula text it carries.
+# derivative {k}: eval_dynamics, term for term, where {f} and {g} are the
+# slots' inlined texts and {d} names the time term of d_i.
 _CONTROL_LAW = """\
 {theta} = {z} / {psi}
 if {theta} > LIMIT:
@@ -55,7 +54,7 @@ if not isfinite({k}):
     raise DynamicsError({i}, {t}, {k})
 """
 
-# The namespace key of a formula's constant: F2_a_g, D1_amp, Y_D_freq.  The
+# The namespace key of a slot's constant: F2_a_g, D1_amp, G2_call.  The
 # slot prefix keeps it off every other key, and _kernel refuses a clash.
 _CONSTANT_KEY = "{slot}_{name}"
 
@@ -65,11 +64,19 @@ def _slots(n: int) -> tuple[str, ...]:
     return ("Y_D", *(f"{c}{i}" for i in range(1, n + 1) for c in "FGD"))
 
 
+def _call_text(slot: str) -> str:
+    """The formula text of a call of the slot's oracle, bound as its constant
+    ``call``: y_d and d_i get the time, and f_i and g_i the state prefix as
+    a tuple, as ``spot_check_bounds`` passes it."""
+    if slot[0] in "FG":
+        return "{call}((" + ", ".join(f"{{x{j}}}" for j in range(1, int(slot[1:]) + 1)) + ",))"
+    return "{call}({t})"
+
+
 @functools.cache
-def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
+def _kernel_code(n: int, texts: tuple[str, ...]):
     """``advance``, ``record`` and ``run`` for cascade order n, compiled
-    once per n and (slot, text) pairs of the inlined formulas; a slot not
-    among them calls the oracle bound to its name.
+    once per n and formula texts, one per slot in ``_slots`` order.
 
     - advance(state, t_k, h_sub, m_k) takes m_k classic RK4 sub-steps of
       length h_sub from t_k, every stage unrolled, and returns the new state.
@@ -79,14 +86,12 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
       in m_k sub-steps per interval and writes rows 1..steps as record
       does.
     """
-    texts = dict(formulas)
+    texts = dict(zip(_slots(n), texts))
     state = ", ".join(f"x{i}" for i in range(1, n + 1))
     stages = range(1, n + 1)
 
-    def oracle(slot: str, arg: str, t: str, x: str) -> str:
-        """The slot's value: its formula text inlined, else a call of its oracle."""
-        if slot not in texts:
-            return f"{slot}({arg})"
+    def oracle(slot: str, t: str, x: str) -> str:
+        """The slot's formula text, read at time t and state x1..xn."""
         inlined = _fill(texts[slot], t, lambda j: f"{x}{j}", lambda name: _CONSTANT_KEY.format(slot=slot, name=name))
         return f"({inlined})"
 
@@ -98,26 +103,21 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
 
     def times(t: str, tag: str) -> str:
         """The terms of a right-hand side that read only the time t, named
-        with tag: each envelope, y_d and each d_i that is inlined.  An
-        oracle that is called stays in the right-hand side."""
-        out = envelopes(t, tag) + (f"yd{tag} = {oracle('Y_D', t, t, 'x')}\n" if "Y_D" in texts else "")
-        return out + "".join(f"d{i}{tag} = {oracle(f'D{i}', t, t, 'x')}\n" for i in stages if f"D{i}" in texts)
+        with tag: each envelope, y_d and each d_i."""
+        out = envelopes(t, tag) + f"yd{tag} = {oracle('Y_D', t, 'x')}\n"
+        return out + "".join(f"d{i}{tag} = {oracle(f'D{i}', t, 'x')}\n" for i in stages)
 
     def rhs(x: str, t: str, tag: str, k: str) -> str:
         """One right-hand side: inputs x1..xn at time t, whose time terms
         carry tag, derivatives into k1..kn."""
         xs = [f"{x}{i}" for i in stages] + ["u"]
-        y_d = f"yd{tag}" if "Y_D" in texts else f"Y_D({t})"
-        out = f"u = {y_d}\n"
+        out = f"u = yd{tag}\n"
         for i in stages:
             out += _CONTROL_LAW.format(theta="theta", z=f"({x}{i} - u)", psi=f"psi{i}{tag}", on_clamp="", i=i)
         out += _FINITE_INPUT
         for i in stages:
-            if f"F{i}" not in texts or f"G{i}" not in texts:
-                out += f"p = ({', '.join(xs[:i])},)\n"
-            f, g = (oracle(f"{c}{i}", "p", t, x) for c in "FG")
-            d = f"d{i}{tag}" if f"D{i}" in texts else f"D{i}({t})"
-            out += _PLANT_FIELD.format(k=f"{k}{i}", f=f, g=g, drive=xs[i], d=d, i=i, t=t)
+            f, g = (oracle(f"{c}{i}", t, x) for c in "FG")
+            out += _PLANT_FIELD.format(k=f"{k}{i}", f=f, g=g, drive=xs[i], d=f"d{i}{tag}", i=i, t=t)
         return out
 
     def record(t: str) -> str:
@@ -131,7 +131,7 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
             for i in stages
         )
         columns = ", ".join(f"{c}{i}" for c in ("x", "z", "theta", "u", "psi") for i in stages)
-        return f"y_d = u = {oracle('Y_D', t, t, 'x')}\n" + law + _FINITE_INPUT + f"row = ({t}, {columns}, y_d)\n"
+        return f"y_d = u = {oracle('Y_D', t, 'x')}\n" + law + _FINITE_INPUT + f"row = ({t}, {columns}, y_d)\n"
 
     # The two half-step stages share t_h, so its time terms are evaluated once.
     rk4 = (
@@ -174,16 +174,16 @@ def _kernel_code(n: int, formulas: tuple[tuple[str, str], ...]):
     return compile(source, f"<RK4 kernel, n={n}>", "exec")
 
 
-def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) -> dict:
+def _kernel(config: CascadeConfig, reference, system: SystemSpec) -> dict:
     """Exec the kernel into a fresh namespace of one scenario's constants and
     oracles; returns the namespace, which holds the functions
-    ``_kernel_code`` lists.  An oracle that carries a formula is inlined, its
-    constants bound under ``_CONSTANT_KEY``; any other is bound under its
-    slot name.  A key bound twice is refused with ValueError."""
+    ``_kernel_code`` lists.  Each slot's formula text is inlined, a plain
+    oracle's being ``_call_text``; the constants are bound under
+    ``_CONSTANT_KEY``.  A key bound twice is refused with ValueError."""
     ns = {
         **_FUNCTIONS,
-        "LIMIT": 1.0 - THETA_EPS,  # same guard band as clamp_theta
-        "HALF_PI": 0.5 * math.pi,
+        "LIMIT": _THETA_LIMIT,
+        "HALF_PI": _HALF_PI,
         "exp": math.exp,
         "tan": math.tan,
         "atan": math.atan,
@@ -203,18 +203,12 @@ def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) 
         bind(f"MU{i}", s.funnel.mu)
         bind(f"A{i}", math.pi / (2.0 * s.c))
         bind(f"B{i}", 2.0 * s.v_bar / math.pi)
-    oracles = [reference.y_d]
-    if system is not None:
-        oracles += [o for stage in zip(system.f, system.g, system.d) for o in stage]
-    formulas = []
+    oracles = (reference.y_d, *(o for stage in zip(system.f, system.g, system.d) for o in stage))
+    texts = []
     for slot, oracle in zip(_slots(config.n), oracles):
-        formula = getattr(oracle, "formula", None)
-        if formula is None:
-            bind(slot, oracle)
-            continue
-        text, constants = formula
-        formulas.append((slot, text))
+        text, constants = getattr(oracle, "formula", None) or (_call_text(slot), {"call": oracle})
+        texts.append(text)
         for name, value in constants.items():
             bind(_CONSTANT_KEY.format(slot=slot, name=name), value)
-    exec(_kernel_code(config.n, tuple(formulas)), ns)
+    exec(_kernel_code(config.n, tuple(texts)), ns)
     return ns

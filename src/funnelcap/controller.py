@@ -32,6 +32,7 @@ __all__ = [
 
 # Width of the guard band keeping |theta| < 1 under floating-point overshoot.
 THETA_EPS = 1e-9
+_THETA_LIMIT = 1.0 - THETA_EPS
 
 _HALF_PI = 0.5 * math.pi
 
@@ -90,11 +91,10 @@ def clamp_theta(raw: float) -> tuple[float, bool]:
     exact arithmetic a feasible closed loop keeps |theta| < 1 on its own; the
     clamp only absorbs numerical overshoot from discrete integration.
     """
-    limit = 1.0 - THETA_EPS
-    if raw > limit:
-        return limit, True
-    if raw < -limit:
-        return -limit, True
+    if raw > _THETA_LIMIT:
+        return _THETA_LIMIT, True
+    if raw < -_THETA_LIMIT:
+        return -_THETA_LIMIT, True
     return raw, False
 
 

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import _HALF_PI, THETA_EPS, CascadeConfig, StageControllerParams, _check_theta, clamp_theta, gain_range, stage_control
+from .controller import _HALF_PI, _THETA_LIMIT, CascadeConfig, StageControllerParams, _check_theta, clamp_theta, gain_range, stage_control
 from .funnel import FunnelParams
 
 __all__ = [
@@ -306,11 +306,10 @@ def _columns(template: RegionTemplate, x: np.ndarray):
     scalar law refuses it.
     """
     law = template.controller.stages[0]
-    limit = 1.0 - THETA_EPS
     with np.errstate(over="ignore", invalid="ignore"):
         z1 = x - template.y_d0
         p1 = np.abs(z1) + template.deltas[0]
-        theta = np.clip(z1 / p1, -limit, limit)  # NaN passes the clamp
+        theta = np.clip(z1 / p1, -_THETA_LIMIT, _THETA_LIMIT)  # NaN passes the clamp
     if np.isnan(theta).any():
         _check_theta(math.nan)
     theta *= _HALF_PI

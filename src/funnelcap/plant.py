@@ -18,7 +18,8 @@ Each field of the families, and ``sine_signal``, is stated once, as
 expression text over ``{x1}..{xi}`` (state oracles) or ``{t}`` (time
 signals) and named constants.  ``_formula`` compiles the oracle from that
 text, and the oracle carries the text and its constants as ``formula``, so
-the simulator's RK4 kernel can inline the same text in place of the call.
+the simulator's RK4 kernel inlines the same text; it inlines any other
+oracle as the text of a call to it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ Near a settled funnel the loop is stiff: stage i's local error-feedback gain
 is about g_hi_i * |phi_lo_i| / psi_i(t), phi_lo_i being ``gain_range``'s
 steepest stage gain.  It reaches 1.6e4/s at psi_i = q_i for the built-in
 pendulum example, while explicit RK4 is only stable for |gain * h| below
-about 2.79.  The sub-step rule that keeps it there lives here, once:
+about 2.79.  The sub-step rule that keeps it there is stated here, once;
+the ``sample`` text of ``_rk4``'s kernel computes each interval's m_k:
 
 - ``Scenario.substeps`` is the number of equal RK4 sub-steps per recorded
   step once the envelopes have settled.  Wider envelopes are less stiff, so
@@ -53,7 +54,7 @@ import numpy as np
 
 from .controller import CascadeConfig, gain_range
 from .feasibility import BoundsSpec, _write_csv, check_feasibility
-from .plant import BoundFamilyReport, ReferenceSpec, SystemSpec, _score_margins
+from .plant import BoundFamilyReport, ReferenceSpec, SystemSpec, _score_margins, zero_signal
 
 __all__ = [
     "Scenario",
@@ -196,7 +197,7 @@ class Trajectory:
         return self.t.size
 
 
-def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) -> dict:
+def _kernel(config: CascadeConfig, reference, system: SystemSpec) -> dict:
     """``_rk4._kernel``, imported on first use, so that a process that never
     simulates (``check``, ``region``) neither compiles nor holds the kernel
     generator."""
@@ -208,7 +209,8 @@ def _kernel(config: CascadeConfig, reference, system: SystemSpec | None = None) 
 def _control_path(config: CascadeConfig, reference):
     """The plant input u(state, t), read as u_n off the kernel's ``record``
     row: cascade(...).u[-1] bit for bit, as a regression test holds it."""
-    record = _kernel(config, reference)["record"]
+    zeros = (zero_signal,) * config.n  # record reads no plant oracle
+    record = _kernel(config, reference, SystemSpec(config.n, zeros, zeros, zeros))["record"]
     return lambda state, t: record(state, t, [])[4 * config.n]
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -52,15 +53,15 @@ def sub_step_schedule(sc, t):
 
 
 def counting_rhs(sc, count):
-    """sc with its last stage's disturbance wrapped to call count() first:
-    every right-hand side evaluation calls that oracle exactly once."""
-    d_last = sc.system.d[-1]
+    """sc with its last stage's control coefficient wrapped to call count()
+    first: every right-hand side evaluation calls that oracle exactly once."""
+    g_last = sc.system.g[-1]
 
-    def counted(t):
+    def counted(xs):
         count()
-        return d_last(t)
+        return g_last(xs)
 
-    return dataclasses.replace(sc, system=dataclasses.replace(sc.system, d=(*sc.system.d[:-1], counted)))
+    return dataclasses.replace(sc, system=dataclasses.replace(sc.system, g=(*sc.system.g[:-1], counted)))
 
 
 def rhs_calls_per_interval(sc, monkeypatch):
@@ -113,6 +114,32 @@ def chain_scenario(n, seed, horizon=0.2, substeps=3):
         horizon=horizon,
         substeps=substeps,
     )
+
+
+def plain_signals(sc, calls):
+    """sc with y_d and each d_i wrapped in a plain lambda that first appends
+    the signal's name to calls, so the kernel calls them, not their text."""
+
+    def plain(name, signal):
+        return lambda t: calls.append(name) or signal(t)
+
+    reference = dataclasses.replace(sc.reference, y_d=plain("y_d", sc.reference.y_d))
+    d = tuple(plain(f"d{i}", d_i) for i, d_i in enumerate(sc.system.d, 1))
+    return dataclasses.replace(sc, reference=reference, system=dataclasses.replace(sc.system, d=d))
+
+
+def kernel_sources(monkeypatch):
+    """The list every kernel source compiled from now on is appended to,
+    with the kernel cache cleared."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(_rk4, "compile", spy, raising=False)
+    _rk4._kernel_code.cache_clear()
+    return sources
 
 
 def reference_advance(sc, state, t_k, h_sub, m_k):
@@ -408,8 +435,11 @@ class TestSimulate:
 class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_reference_loop_bit_for_bit(self, n):
+        # chain_scenario's f_i and g_i are plain; its y_d and d_i are library
+        # formulas, and plain lambdas of the same values in the second kernel.
         sc = chain_scenario(n, seed=n)
-        advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
+        calls = []
+        advances = [_kernel(s.controller, s.reference, s.system)["advance"] for s in (sc, plain_signals(sc, calls))]
         rng = np.random.default_rng(100 + n)
         for _ in range(200):
             t_k = float(rng.uniform(0.0, 10.0))
@@ -424,7 +454,12 @@ class TestKernel:
                 prev = fc.stage_control(fc.clamp_theta(theta)[0], stage)
             h_sub = float(rng.uniform(1e-5, 1e-3))
             m_k = int(rng.integers(1, 8))
-            assert advance(list(state), t_k, h_sub, m_k) == reference_advance(sc, state, t_k, h_sub, m_k)
+            expected = reference_advance(sc, state, t_k, h_sub, m_k)
+            assert [advance(list(state), t_k, h_sub, m_k) for advance in advances] == [expected, expected]
+        # A plain y_d or d_i is called once per distinct time: 3 times per sub-step.
+        calls.clear()
+        advances[1]([0.0] * n, 1.0, 1e-3, 5)
+        assert collections.Counter(calls) == dict.fromkeys(["y_d", *(f"d{i}" for i in range(1, n + 1))], 15)
 
     def test_three_stage_run_matches_the_reference_loop(self):
         sc = chain_scenario(3, seed=11)
@@ -524,7 +559,7 @@ class TestFormulas:
 
     def test_mixed_formula_and_plain_oracles_match_the_reference_loop(self, ex1):
         # Stage 2's drift and stage 1's gain are plain callables, the rest
-        # inlined formulas: each slot takes its own path in the same kernel.
+        # library formulas: each slot inlines its own text in the same kernel.
         (_, f2), (g1, _) = old_pendulum(0.01, 1.0, 0.01, 9.8)
         sc = ex1.scenario
         mixed = dataclasses.replace(sc.system, f=(sc.system.f[0], f2), g=(g1, sc.system.g[1]))
@@ -539,24 +574,32 @@ class TestFormulas:
 
     def test_default_disturbances_are_inlined(self, ex1, monkeypatch):
         # zero_signal carries the formula "0.0", so a family built with its
-        # default disturbances makes no D_i call per right-hand side.
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return compile(source, *args)
-
-        monkeypatch.setattr(_rk4, "compile", spy, raising=False)
-        _rk4._kernel_code.cache_clear()
+        # default disturbances makes no oracle call per right-hand side.
+        sources = kernel_sources(monkeypatch)
         sc = dataclasses.replace(ex1.scenario, system=fc.pendulum_system())
         advance = _kernel(sc.controller, sc.reference, sc.system)["advance"]
         assert len(sources) == 1
-        assert "D1(" not in sources[0] and "D2(" not in sources[0]
+        assert "_call(" not in sources[0]
         rng = np.random.default_rng(8)
         for _ in range(50):
             state = rng.uniform(-0.5, 0.5, 2).tolist()
             t_k = float(rng.uniform(0.0, 10.0))
             assert advance(list(state), t_k, 1e-4, 2) == reference_advance(sc, state, t_k, 1e-4, 2)
+
+    @pytest.mark.parametrize(
+        "example, digest",
+        [
+            ("ex1", "58b8b262045e2358c46801bbcc3c9375e0dbcddc9f7ee60dd2005c52a704e82e"),
+            ("ex2", "36abbe1c0a9642283cb7e38c1e93e5cb75c38c47c74b25a16fb054c5944f29b7"),
+        ],
+    )
+    def test_bundled_kernel_source_is_pinned(self, example, digest, request, monkeypatch):
+        # Every oracle of the bundled configs carries library text, so the
+        # kernel they run is fixed; the pin keeps it from moving unnoticed.
+        sources = kernel_sources(monkeypatch)
+        sc = request.getfixturevalue(example).scenario
+        _kernel(sc.controller, sc.reference, sc.system)
+        assert [hashlib.sha256(source.encode()).hexdigest() for source in sources] == [digest]
 
     def test_families_share_one_compiled_kernel(self, ex1):
         a = _kernel(ex1.scenario.controller, ex1.scenario.reference, ex1.scenario.system)
