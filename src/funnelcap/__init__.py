@@ -13,10 +13,11 @@ exports their union.
 from .funnel import *
 from .controller import *
 from .plant import *
+from .certificate import *
 from .feasibility import *
 from .simulator import *
 from .config import *
-from . import config, controller, feasibility, funnel, plant, simulator
+from . import certificate, config, controller, feasibility, funnel, plant, simulator
 
 __version__ = "0.1.0"
 
@@ -24,6 +25,7 @@ __all__ = [
     *funnel.__all__,
     *controller.__all__,
     *plant.__all__,
+    *certificate.__all__,
     *feasibility.__all__,
     *simulator.__all__,
     *config.__all__,

@@ -11,9 +11,10 @@ import math
 import sys
 from pathlib import Path
 
+from .certificate import check_feasibility
 from .config import _CONFIG_FILES, ConfigError, dump_defaults, load_scenario
 from .controller import cascade
-from .feasibility import check_feasibility, check_point, feasible_region, region_to_csv
+from .feasibility import check_point, feasible_region, region_to_csv
 from .plant import DynamicsError, spot_check_bounds
 from .simulator import TrivialConditionError, monitor, simulate, write_events_csv, write_monitor_csv, write_trajectory_csv
 

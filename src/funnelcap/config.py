@@ -26,8 +26,9 @@ from importlib import resources
 
 import numpy as np
 
+from .certificate import BoundsSpec
 from .controller import CascadeConfig, StageControllerParams
-from .feasibility import BoundsSpec, RegionTemplate, _start_chain
+from .feasibility import RegionTemplate, _start_chain
 from .plant import ReferenceSpec, SystemSpec, pendulum_system, sine_chain_system, sine_reference, sine_signal
 from .simulator import Scenario, _stable_substeps
 

@@ -1,34 +1,14 @@
-"""Analytical feasibility certificates for jointly prescribed error envelopes
-and input caps, plus feasible initial-state region sweeps.
+"""Feasible initial-state regions of two-stage cascades, from the
+certificate in ``certificate``.
 
-Prescribing a shrinking error envelope and a hard input cap at the same time
-involves a trade-off: a tight envelope may demand more actuation than the cap
-allows.  The certificate resolves it with one recursion over the stages.  With
-
-    delta_i   = [p_1 + v0_bar, ..., p_i + v_bar_{i-1}]
-    varphi_i  = k_i*||delta_i|| + d_bar_i + g_hi_i*v_bar_i + r_{i-1} + g_hi_i*p_{i+1}
-                (r_0 = r0; the g_hi_i*p_{i+1} term is dropped at the last stage)
-    r_i       = (varphi_i/q_i + mu_i*(p_i - q_i)/p_i) * |phi_lo_i|
-
-the prescription is certified feasible when, for every stage,
-
-    varphi_i < (g_hi_i + g_lo_i)*v_bar_i + mu_i*(q_i - p_i)
-
-and the start lies strictly inside every envelope, |z_i(0)| < p_i.  Here
-varphi_i bounds the worst growth rate of the stage error, the right-hand side
-is the worst restoring rate the capped stage output can still guarantee, and
-r_i bounds the slew rate of stage i's output (phi_lo_i is the stage's most
-negative gain); stage i+1 must outrun it, hence the recursion through r.
-
-The recursion is written once, in ``_certificate``, using only + - * / and
-sqrt, so it gives the same bits whether the envelope starts p_i are floats or
-numpy arrays that broadcast together.  ``check_feasibility`` runs it on one
-cascade.  Over a grid of two-stage start states, with each p_i = |z_i(0)| +
-delta tied to the state, ``feasible_region`` builds the mask from each
-column's feasible run, whose ends it guesses from the closed-form band in
-``_band`` and proves, or else finds by bisection, one certificate row per
-step; the margins of every cell still come from row tiles, on first read and
-in ``region_to_csv``.
+Each envelope start is tied to the state, p_i = |z_i(0)| + delta_i, with
+z_i(0) from the start chain.  ``check_point`` certifies one start through
+``check_feasibility``, looked up in this module.  Over a grid of start
+states, ``feasible_region`` builds the mask from each column's feasible run,
+whose ends it guesses from the closed-form band (``_half_width``) and
+proves, or else finds by bisection, one certificate row per step; the
+margins of every cell still come from row tiles, on first read and in
+``region_to_csv``.
 """
 
 from __future__ import annotations
@@ -41,20 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .certificate import BoundsSpec, FeasibilityReport, _certificate, _slew, _write_csv, check_feasibility
 from .controller import _HALF_PI, _THETA_LIMIT, CascadeConfig, StageControllerParams, _check_theta, clamp_theta, gain_range, stage_control
 from .funnel import FunnelParams
 
-__all__ = [
-    "BoundsSpec",
-    "StageFeasibility",
-    "FeasibilityReport",
-    "check_feasibility",
-    "RegionTemplate",
-    "RegionResult",
-    "check_point",
-    "feasible_region",
-    "region_to_csv",
-]
+__all__ = ["RegionTemplate", "RegionResult", "check_point", "feasible_region", "region_to_csv"]
 
 # Cells per row tile of the region sweep: small enough that the recursion's
 # temporaries stay in cache, and at least one grid row.
@@ -65,164 +36,6 @@ def _row_tiles(ny: int, nx: int, cells: int = _TILE_CELLS):
     """Slices of whole rows of an (ny, nx) grid, about ``cells`` cells each."""
     rows = max(1, cells // nx)
     return (slice(start, start + rows) for start in range(0, ny, rows))
-
-
-@dataclass(frozen=True)
-class BoundsSpec:
-    """Known constants the certificate is evaluated against.
-
-    k      per-stage growth constants, |f_i(xs)| <= k_i*||xs||
-    g_lo   per-stage lower bounds on the control coefficients g_i
-    g_hi   per-stage upper bounds on g_i
-    d_bar  per-stage disturbance magnitude bounds
-    v0_bar bound on the reference magnitude |y_d|
-    r0     bound on the reference slew rate |d(y_d)/dt|
-    """
-
-    k: tuple[float, ...]
-    g_lo: tuple[float, ...]
-    g_hi: tuple[float, ...]
-    d_bar: tuple[float, ...]
-    v0_bar: float
-    r0: float
-
-    def __post_init__(self) -> None:
-        for name in ("k", "g_lo", "g_hi", "d_bar"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        object.__setattr__(self, "v0_bar", float(self.v0_bar))
-        object.__setattr__(self, "r0", float(self.r0))
-        n = len(self.k)
-        if n < 1:
-            raise ValueError("bounds must cover at least one stage")
-        for name in ("g_lo", "g_hi", "d_bar"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must have {n} entries like k")
-        flat = self.k + self.g_lo + self.g_hi + self.d_bar + (self.v0_bar, self.r0)
-        if not all(math.isfinite(v) and v >= 0.0 for v in flat):
-            raise ValueError("all bound constants must be finite and >= 0")
-        if any(lo > hi for lo, hi in zip(self.g_lo, self.g_hi)):
-            raise ValueError("g_lo must not exceed g_hi")
-
-    @property
-    def n(self) -> int:
-        return len(self.k)
-
-
-def _slew(varphi, p, stage: StageControllerParams):
-    """Slew-rate bound r = (varphi/q + mu*(p - q)/p) * |phi_lo| of a stage's
-    output, with q and mu its envelope's and phi_lo its law's most negative gain."""
-    q, mu = stage.funnel.q, stage.funnel.mu
-    return (varphi / q + mu * (p - q) / p) * abs(gain_range(stage)[0])
-
-
-def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams]) -> list:
-    """The certificate recursion: (varphi_i, rhs_i, margin_i) for each stage.
-
-    ``p`` holds the envelope starts as floats, or as numpy arrays whose shapes
-    grow along the cascade (an (nx,) row, then an (ny, nx) grid); q, mu, v_bar
-    and phi_lo come from the stage laws ``stages``, whose starts are unused.
-    Only slew bounds a later stage consumes are computed.  Augmented operators
-    reuse fresh temporaries on arrays; swapped operands of + and * give the
-    same bits, since both commute exactly; sqrt is math.sqrt on floats, so a
-    scalar run stays in Python floats.  Overflow to inf or NaN is left silent
-    (_stage_margins wraps array runs in np.errstate): a non-finite margin
-    already reads as infeasible.  feasible_region relies on p[1] entering
-    only through + - * / by constants >= 0 and sqrt, so that neither margin
-    increases with it, bit for bit.
-    """
-    n = len(p)
-    cap = bounds.v0_bar  # v_bar_{i-1}
-    sq = 0.0  # running ||delta_i||^2
-    r = bounds.r0
-    out = []
-    for i, stage in enumerate(stages):
-        d = p[i] + cap
-        d *= d
-        d += sq
-        sq = d
-        varphi = np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
-        varphi *= bounds.k[i]
-        varphi += bounds.d_bar[i]
-        varphi += bounds.g_hi[i] * stage.v_bar
-        r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
-        varphi = r
-        if i + 1 < n:
-            varphi = bounds.g_hi[i] * p[i + 1] + varphi
-            r = _slew(varphi, p[i], stage)
-        rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * stage.v_bar + stage.funnel.mu * (stage.funnel.q - p[i])
-        out.append((varphi, rhs, rhs - varphi))
-        cap = stage.v_bar
-    return out
-
-
-@dataclass(frozen=True)
-class StageFeasibility:
-    """Certificate arithmetic for one stage (1-based index).
-
-    margin = rhs - varphi must be strictly positive, as must trivial_margin =
-    p - |z0| (start strictly inside the envelope).  r is the stage's output
-    slew bound fed to the next stage.
-    """
-
-    stage: int
-    varphi: float
-    rhs: float
-    margin: float
-    r: float
-    p: float
-    z0: float
-    trivial_margin: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.margin > 0.0 and self.trivial_margin > 0.0
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    stages: tuple[StageFeasibility, ...]
-    feasible: bool
-
-    def __str__(self) -> str:
-        lines = []
-        for s in self.stages:
-            lines.append(
-                f"stage {s.stage}: varphi={s.varphi:.6g} rhs={s.rhs:.6g} "
-                f"margin={s.margin:.6g} r={s.r:.6g} p={s.p:.6g} |z0|={abs(s.z0):.6g} "
-                f"trivial_margin={s.trivial_margin:.6g}"
-            )
-            if s.trivial_margin <= 0.0:
-                lines.append(
-                    f"  trivial condition violated at stage {s.stage}: "
-                    f"|z_{s.stage}(0)| = {abs(s.z0):.6g} >= p_{s.stage} = {s.p:.6g}"
-                )
-        lines.append(f"verdict: {'FEASIBLE' if self.feasible else 'INFEASIBLE'}")
-        return "\n".join(lines)
-
-
-def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[float]) -> FeasibilityReport:
-    """Run the full per-stage certificate for a cascade and initial errors z0.
-
-    Evaluates the varphi/r recursion from stage 1 up (the one region sweeps
-    run), the strict margin rhs_i - varphi_i with rhs_i = (g_hi_i +
-    g_lo_i)*v_bar_i + mu_i*(q_i - p_i), and the strict start condition
-    p_i > |z_i(0)|.  Feasible only if every stage passes both.
-    """
-    n = config.n
-    if bounds.n != n:
-        raise ValueError(f"bounds cover {bounds.n} stages, cascade has {n}")
-    if len(z0) != n:
-        raise ValueError(f"z0 has length {len(z0)}, expected {n}")
-    p = [s.funnel.p for s in config.stages]
-    stages = []
-    feasible = True
-    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, config.stages)):
-        z0_i = float(z0[i])
-        trivial_i = p[i] - abs(z0_i)
-        # fields in declaration order: stage, varphi, rhs, margin, r, p, z0, trivial_margin
-        stages.append(StageFeasibility(i + 1, varphi_i, rhs_i, margin_i, _slew(varphi_i, p[i], config.stages[i]), p[i], z0_i, trivial_i))
-        feasible = feasible and margin_i > 0.0 and trivial_i > 0.0  # StageFeasibility.feasible
-    return FeasibilityReport(tuple(stages), feasible)
 
 
 @dataclass(frozen=True)
@@ -370,6 +183,46 @@ class RegionResult:
     margin_c2 = property(lambda self: self._margins[1], doc="Stage-2 margin per cell.")
 
 
+def _half_width(template: RegionTemplate, p1: np.ndarray) -> np.ndarray:
+    """Half-width w per column of the band |y - u_1(0)| < w where both
+    margins are positive, from the margins in closed form.
+
+    For fixed x, margin_1 = m - g_hi_1*p_2 is linear in p_2.  With s = p_2 +
+    v_bar_1, margin_2 = D - B*s - k_2*sqrt(S + s^2), where S = (p_1 +
+    v0_bar)^2, B = mu_2 + g_hi_1*|phi_lo_1|/q_1 and D holds the rest; it is
+    0 at the root s = (D^2 - k_2^2*S) / (B*D + k_2*sqrt(D^2 + (B^2 -
+    k_2^2)*S)) of its squared form, which is the linear root D/B when k_2 =
+    0 and stays finite when B = k_2.  w = p_2* - deltas[1] for the smaller
+    of the two roots p_2*.
+
+    This is a bracket, not a second certificate: it rounds differently from
+    _certificate, and feasible_region only seeds its search with it.  w may
+    miss a cell or be inf or NaN, and its arithmetic may overflow:
+    _run_guesses calls it under np.errstate.
+    """
+    b, (s1, s2) = template.bounds, template.controller.stages
+    sq = (p1 + b.v0_bar) ** 2
+    a = b.k[0] * np.sqrt(sq) + b.d_bar[0] + b.g_hi[0] * s1.v_bar + b.r0  # varphi_1 at p_2 = 0
+    top1 = ((b.g_hi[0] + b.g_lo[0]) * s1.v_bar + s1.funnel.mu * (s1.funnel.q - p1) - a) / b.g_hi[0]
+    slope = s2.funnel.mu + b.g_hi[0] * abs(gain_range(s1)[0]) / s1.funnel.q
+    d = b.g_lo[1] * s2.v_bar + s2.funnel.mu * s2.funnel.q - b.d_bar[1] - _slew(a, p1, s1) + slope * s1.v_bar
+    k2 = b.k[1]
+    root = (d * d - k2 * k2 * sq) / (slope * d + k2 * np.sqrt(d * d + (slope * slope - k2 * k2) * sq))
+    top2 = np.where(d > 0.0, root - s1.v_bar, -np.inf)  # margin_2 <= 0 for every s >= 0 when D <= 0
+    return np.minimum(top1, top2) - template.deltas[1]
+
+
+def _run_guesses(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, ys: np.ndarray, pivot: np.ndarray):
+    """Guessed lengths of each column's feasible runs below and above u_1 on
+    the sorted axis ``ys``, whose first cell with y >= u_1 is ``pivot``: the
+    cells within w of u_1, never fewer than 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = _half_width(template, p1)
+        up = np.maximum(np.searchsorted(ys, u1 + w, side="left") - pivot, 0)
+        down = np.maximum(pivot - np.searchsorted(ys, u1 - w, side="right"), 0)
+    return down, up
+
+
 def _feasible_run(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, ys: np.ndarray, first: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Per column, how many cells of ``ys``, walking up from index ``first``,
     are feasible before the first that is not.
@@ -412,8 +265,8 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     0), so neither margin increases with p_2, and a margin that overflowed to
     inf or NaN stays non-positive for every larger p_2.  So along ascending
     y the feasible cells form one contiguous run on each side of u_1.  The
-    closed-form band in _band guesses each run's length (the cells within w
-    of u_1), then _feasible_run verifies the guess with two certificate rows
+    closed-form band of _half_width guesses each run's length (the cells
+    within w of u_1), then _feasible_run verifies the guess with two certificate rows
     and bisects only the columns it misses: 4 rows per grid when every guess
     holds, at most 2*(2 + ceil(log2(ny + 1))), instead of one evaluation per
     cell, each run under np.errstate in _stage_margins.  The guess never
@@ -429,9 +282,7 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
     order = np.argsort(y, kind="stable")
     ys = y[order]
     pivot = np.searchsorted(ys, u1)  # first cell with y >= u_1
-    from ._band import run_guesses  # on first use: a process that never sweeps does not compile it
-
-    down, up = run_guesses(template, p1, u1, ys, pivot)
+    down, up = _run_guesses(template, p1, u1, ys, pivot)
     # Below u_1 the walk runs down the axis: up the reversed one from ny - pivot.
     # Ranks and run ends lie in [0, ny]: in the narrowest type holding ny
     # (uint16 at 1001 rows) the mask's compares run ~5x faster than in int64.
@@ -448,15 +299,6 @@ def feasible_region(template: RegionTemplate, x: Sequence[float], y: Sequence[fl
         feasible[tile] &= rank[tile, None] < stop
     x.flags.writeable = y.flags.writeable = feasible.flags.writeable = False
     return RegionResult(template=template, x=x, y=y, feasible=feasible)
-
-
-def _write_csv(path, header: str, line: str, blocks) -> None:
-    """The one CSV writer: the header line, then each block's rows, every row
-    a tuple formatted by ``line`` and each block written in one piece."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for block in blocks:
-            fh.write("".join([line % row for row in block]))
 
 
 def region_to_csv(result: RegionResult, path) -> None:

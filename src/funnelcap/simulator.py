@@ -52,8 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .certificate import BoundsSpec, _write_csv, check_feasibility
 from .controller import CascadeConfig, gain_range
-from .feasibility import BoundsSpec, _write_csv, check_feasibility
 from .plant import BoundFamilyReport, ReferenceSpec, SystemSpec, _score_margins, zero_signal
 
 __all__ = [

@@ -1,5 +1,8 @@
+import ast
+from pathlib import Path
+
 import funnelcap
-from funnelcap import config, controller, feasibility, funnel, plant, simulator
+from funnelcap import certificate, config, controller, feasibility, funnel, plant, simulator
 
 
 def test_public_api_is_pinned():
@@ -61,7 +64,57 @@ def test_public_api_is_pinned():
 
 def test_package_api_is_the_union_of_module_lists():
     # each public name is declared once, in its module's __all__
-    modules = (funnel, controller, plant, feasibility, simulator, config)
+    modules = (funnel, controller, plant, certificate, feasibility, simulator, config)
     joined = [name for mod in modules for name in mod.__all__] + ["__version__"]
     assert funnelcap.__all__ == joined
     assert len(set(joined)) == len(joined)
+
+
+def package_imports():
+    """Per module of the package, its relative imports of other modules as
+    (target, enclosing function or None), read from the source with ast."""
+    root = Path(funnelcap.__file__).parent
+    names = {path.stem for path in root.glob("*.py")}
+    graph = {}
+
+    def visit(node, func, edges):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, edges)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                targets = [child.module] if child.module else [alias.name for alias in child.names]
+                edges.extend((target, func) for target in targets if target in names)
+            visit(child, func, edges)
+
+    for path in root.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, graph.setdefault(path.stem, []))
+    return graph
+
+
+def test_intra_package_imports_form_no_cycle():
+    graph = {mod: {target for target, _ in edges} for mod, edges in package_imports().items()}
+    done, path = set(), []
+
+    def walk(mod):
+        assert mod not in path, f"import cycle: {' -> '.join(path[path.index(mod):] + [mod])}"
+        if mod not in done:
+            path.append(mod)
+            for target in sorted(graph[mod]):
+                walk(target)
+            path.pop()
+            done.add(mod)
+
+    for mod in sorted(graph):
+        walk(mod)
+
+
+def test_only_the_kernel_generator_is_imported_inside_a_function():
+    # simulate imports _rk4 on first use, so check and region never compile it
+    graph = package_imports()
+    nested = [(mod, func, target) for mod, edges in graph.items() for target, func in edges if func is not None]
+    assert nested == [("simulator", "_kernel", "_rk4")]
+
+
+def test_certificate_does_not_import_the_region_sweep():
+    assert "feasibility" not in {target for target, _ in package_imports()["certificate"]}

@@ -367,6 +367,33 @@ class TestRegion:
         digest = hashlib.sha256((out / "region.csv").read_bytes()).hexdigest()
         assert digest == "2a8dd6b9d63fac7305792e60b0dca359b04e09e2e4910291011c698f06c5fdd1"
 
+    @pytest.mark.parametrize(
+        "config_path, stdout_digest, csv_digest",
+        [
+            pytest.param(
+                "ex1_config_path",
+                "1984e2d6fecd2dff5442fd0c15aee8d9d6f51108c4fc49e5f9fa104d24f62726",
+                "fcf6a060e3d91b56c051bde16a486a9775760771fd6bd1a7be48914235ecaf92",
+                id="ex1",
+            ),
+            pytest.param(
+                "ex2_config_path",
+                "3996783baa7fd56d677600a9580b875ddb6accb84d8858c356dd74af112f149e",
+                "85c926d4c61f6c3cbb5b279f70ca58079e98c58abe8bd689023b80a2106eba04",
+                id="ex2",
+            ),
+        ],
+    )
+    def test_bundled_grid_output_is_pinned(self, config_path, stdout_digest, csv_digest, request, tmp_path, capsys):
+        # The config's own 201x201 grid: the cell count and every probe line,
+        # then the mask and margins of every cell.
+        out = tmp_path / "regout"
+        assert main(["region", str(request.getfixturevalue(config_path)), "--out", str(out)]) == 0
+        *lines, wrote = capsys.readouterr().out.splitlines(keepends=True)
+        assert wrote == f"wrote {out / 'region.csv'}\n"
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256((out / "region.csv").read_bytes()).hexdigest() == csv_digest
+
     def test_missing_region_section_exits_two(self, tmp_path):
         cfg = json.loads(fc.dump_defaults("pendulum_ex1"))
         del cfg["region"]

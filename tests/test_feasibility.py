@@ -24,7 +24,6 @@ from funnelcap import (
     region_to_csv,
 )
 from funnelcap import feasibility
-from funnelcap import _band
 from funnelcap.feasibility import _TILE_CELLS, _certificate, _columns, _feasible_run, _slew, _start_output, _write_csv
 
 HALF_PI = math.pi / 2.0
@@ -381,7 +380,7 @@ def test_any_band_width_gives_the_full_grid_mask(guess, monkeypatch):
     # The band only seeds the search: with a width that is 0, inf, NaN or
     # random in every column, the mask is still the certificate's.
     rng = np.random.default_rng(sorted(WIDTH_GUESSES).index(guess))
-    monkeypatch.setattr(_band, "half_width", lambda template, p1: WIDTH_GUESSES[guess](rng, p1.size))
+    monkeypatch.setattr(feasibility, "_half_width", lambda template, p1: WIDTH_GUESSES[guess](rng, p1.size))
     split = 0  # columns with both verdicts
     for template in [ex1_template(), ex2_template()] + [random_template(rng) for _ in range(40)]:
         x = rng.uniform(-3.0, 3.0, rng.integers(1, 12))
@@ -812,7 +811,7 @@ class TestRegion:
         template, ys = region.template, region.y
         p1, u1 = _columns(template, region.x)
         pivot = np.searchsorted(ys, u1)
-        down, up = _band.run_guesses(template, p1, u1, ys, pivot)
+        down, up = feasibility._run_guesses(template, p1, u1, ys, pivot)
         blind = np.zeros_like(pivot)
         assert np.array_equal(up, _feasible_run(template, p1, u1, ys, pivot, blind))
         assert np.array_equal(down, _feasible_run(template, p1, u1, ys[::-1], ys.size - pivot, blind))
