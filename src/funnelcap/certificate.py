@@ -59,22 +59,23 @@ class BoundsSpec:
     v0_bar: float
     r0: float
 
-    def __post_init__(self) -> None:
-        for name in ("k", "g_lo", "g_hi", "d_bar"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        object.__setattr__(self, "v0_bar", float(self.v0_bar))
-        object.__setattr__(self, "r0", float(self.r0))
-        n = len(self.k)
+    def __init__(
+        self, k: tuple[float, ...], g_lo: tuple[float, ...], g_hi: tuple[float, ...], d_bar: tuple[float, ...], v0_bar: float, r0: float
+    ) -> None:
+        # checked as locals, then stored once, as in FunnelParams
+        k, g_lo, g_hi, d_bar = (tuple(float(v) for v in seq) for seq in (k, g_lo, g_hi, d_bar))
+        v0_bar, r0 = float(v0_bar), float(r0)
+        n = len(k)
         if n < 1:
             raise ValueError("bounds must cover at least one stage")
-        for name in ("g_lo", "g_hi", "d_bar"):
-            if len(getattr(self, name)) != n:
+        for name, seq in (("g_lo", g_lo), ("g_hi", g_hi), ("d_bar", d_bar)):
+            if len(seq) != n:
                 raise ValueError(f"{name} must have {n} entries like k")
-        flat = self.k + self.g_lo + self.g_hi + self.d_bar + (self.v0_bar, self.r0)
-        if not all(math.isfinite(v) and v >= 0.0 for v in flat):
+        if not all(math.isfinite(v) and v >= 0.0 for v in k + g_lo + g_hi + d_bar + (v0_bar, r0)):
             raise ValueError("all bound constants must be finite and >= 0")
-        if any(lo > hi for lo, hi in zip(self.g_lo, self.g_hi)):
+        if any(lo > hi for lo, hi in zip(g_lo, g_hi)):
             raise ValueError("g_lo must not exceed g_hi")
+        object.__setattr__(self, "__dict__", dict(k=k, g_lo=g_lo, g_hi=g_hi, d_bar=d_bar, v0_bar=v0_bar, r0=r0))
 
     @property
     def n(self) -> int:
@@ -89,12 +90,14 @@ def _slew(varphi, p, stage: StageControllerParams):
 
 
 def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams]) -> list:
-    """The certificate recursion: (varphi_i, rhs_i, margin_i) for each stage.
+    """The certificate recursion: (varphi_i, rhs_i, margin_i, r_i) for each
+    stage, with r_i its slew bound, or None at the last stage.
 
     ``p`` holds the envelope starts as floats, or as numpy arrays whose shapes
     grow along the cascade (an (nx,) row, then an (ny, nx) grid); q, mu, v_bar
     and phi_lo come from the stage laws ``stages``, whose starts are unused.
-    Only slew bounds a later stage consumes are computed.  Augmented operators
+    Only slew bounds a later stage consumes are computed, so the last
+    stage's is left to the caller (check_feasibility).  Augmented operators
     reuse fresh temporaries on arrays; swapped operands of + and * give the
     same bits, since both commute exactly; sqrt is math.sqrt on floats, so a
     scalar run stays in Python floats.  Overflow to inf or NaN is left silent
@@ -113,17 +116,20 @@ def _certificate(bounds: BoundsSpec, p, stages: Sequence[StageControllerParams])
         d *= d
         d += sq
         sq = d
-        varphi = np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+        if isinstance(sq, np.ndarray):  # sq is unused after the last stage, whose sqrt takes its buffer
+            varphi = np.sqrt(sq, out=sq if i + 1 == n else None)
+        else:
+            varphi = math.sqrt(sq)
         varphi *= bounds.k[i]
         varphi += bounds.d_bar[i]
         varphi += bounds.g_hi[i] * stage.v_bar
-        r += varphi  # r is r0 or a fresh slew bound: the sum reuses its buffer
-        varphi = r
+        varphi += r  # r (r0 or a slew bound already returned) keeps its buffer
+        r = None
         if i + 1 < n:
             varphi = bounds.g_hi[i] * p[i + 1] + varphi
             r = _slew(varphi, p[i], stage)
         rhs = (bounds.g_hi[i] + bounds.g_lo[i]) * stage.v_bar + stage.funnel.mu * (stage.funnel.q - p[i])
-        out.append((varphi, rhs, rhs - varphi))
+        out.append((varphi, rhs, rhs - varphi, r))
         cap = stage.v_bar
     return out
 
@@ -146,6 +152,13 @@ class StageFeasibility:
     z0: float
     trivial_margin: float
 
+    def __init__(
+        self, stage: int, varphi: float, rhs: float, margin: float, r: float, p: float, z0: float, trivial_margin: float
+    ) -> None:
+        # stored once, as in FunnelParams; the fields are computed, not checked
+        fields = dict(stage=stage, varphi=varphi, rhs=rhs, margin=margin, r=r, p=p, z0=z0, trivial_margin=trivial_margin)
+        object.__setattr__(self, "__dict__", fields)
+
     @property
     def feasible(self) -> bool:
         return self.margin > 0.0 and self.trivial_margin > 0.0
@@ -155,6 +168,9 @@ class StageFeasibility:
 class FeasibilityReport:
     stages: tuple[StageFeasibility, ...]
     feasible: bool
+
+    def __init__(self, stages: tuple[StageFeasibility, ...], feasible: bool) -> None:
+        object.__setattr__(self, "__dict__", dict(stages=stages, feasible=feasible))
 
     def __str__(self) -> str:
         lines = []
@@ -179,7 +195,9 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     Evaluates the varphi/r recursion from stage 1 up (the one region sweeps
     run), the strict margin rhs_i - varphi_i with rhs_i = (g_hi_i +
     g_lo_i)*v_bar_i + mu_i*(q_i - p_i), and the strict start condition
-    p_i > |z_i(0)|.  Feasible only if every stage passes both.
+    p_i > |z_i(0)|.  Feasible only if every stage passes both.  Each slew
+    bound r_i is the recursion's own, and only the last stage's is computed
+    here.
     """
     n = config.n
     if bounds.n != n:
@@ -189,11 +207,13 @@ def check_feasibility(config: CascadeConfig, bounds: BoundsSpec, z0: Sequence[fl
     p = [s.funnel.p for s in config.stages]
     stages = []
     feasible = True
-    for i, (varphi_i, rhs_i, margin_i) in enumerate(_certificate(bounds, p, config.stages)):
+    for i, (varphi_i, rhs_i, margin_i, r_i) in enumerate(_certificate(bounds, p, config.stages)):
+        if r_i is None:
+            r_i = _slew(varphi_i, p[i], config.stages[i])
         z0_i = float(z0[i])
         trivial_i = p[i] - abs(z0_i)
         # fields in declaration order: stage, varphi, rhs, margin, r, p, z0, trivial_margin
-        stages.append(StageFeasibility(i + 1, varphi_i, rhs_i, margin_i, _slew(varphi_i, p[i], config.stages[i]), p[i], z0_i, trivial_i))
+        stages.append(StageFeasibility(i + 1, varphi_i, rhs_i, margin_i, r_i, p[i], z0_i, trivial_i))
         feasible = feasible and margin_i > 0.0 and trivial_i > 0.0  # StageFeasibility.feasible
     return FeasibilityReport(tuple(stages), feasible)
 

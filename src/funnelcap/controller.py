@@ -45,15 +45,16 @@ class StageControllerParams:
     funnel: FunnelParams
     c: float = _HALF_PI
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_bar", float(self.v_bar))
-        object.__setattr__(self, "c", float(self.c))
-        if not (math.isfinite(self.v_bar) and self.v_bar > 0.0):
-            raise ValueError(f"stage output bound v_bar must be finite and > 0, got {self.v_bar}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"stage shape constant c must be finite and > 0, got {self.c}")
-        if not isinstance(self.funnel, FunnelParams):
+    def __init__(self, v_bar: float, funnel: FunnelParams, c: float = _HALF_PI) -> None:
+        # checked as locals, then stored once, as in FunnelParams
+        v_bar, c = float(v_bar), float(c)
+        if not (math.isfinite(v_bar) and v_bar > 0.0):
+            raise ValueError(f"stage output bound v_bar must be finite and > 0, got {v_bar}")
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"stage shape constant c must be finite and > 0, got {c}")
+        if not isinstance(funnel, FunnelParams):
             raise TypeError("funnel must be a FunnelParams")
+        object.__setattr__(self, "__dict__", dict(v_bar=v_bar, funnel=funnel, c=c))
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,16 @@ class CascadeConfig:
     n: int
     stages: tuple[StageControllerParams, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if self.n < 1:
-            raise ValueError(f"system order n must be >= 1, got {self.n}")
-        if len(self.stages) != self.n:
-            raise ValueError(f"expected {self.n} stages, got {len(self.stages)}")
+    def __init__(self, n: int, stages: tuple[StageControllerParams, ...]) -> None:
+        # checked as locals, then stored once, as in FunnelParams
+        stages = tuple(stages)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"system order n must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError(f"system order n must be >= 1, got {n}")
+        if len(stages) != n:
+            raise ValueError(f"expected {n} stages, got {len(stages)}")
+        object.__setattr__(self, "__dict__", dict(n=n, stages=stages))
 
 
 @dataclass(frozen=True)

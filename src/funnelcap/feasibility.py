@@ -2,8 +2,10 @@
 certificate in ``certificate``.
 
 Each envelope start is tied to the state, p_i = |z_i(0)| + delta_i, with
-z_i(0) from the start chain.  ``check_point`` certifies one start through
-``check_feasibility``, looked up in this module.  Over a grid of start
+z_i(0) = x_i minus the t = 0 output of the stage before, by the one rule
+``_start_output``.  ``check_point`` builds the two stage laws of one start
+from the template's and certifies them through ``check_feasibility``,
+looked up in this module, once per probe.  Over a grid of start
 states, ``feasible_region`` builds the mask from each column's feasible run,
 whose ends it guesses from the closed-form band (``_half_width``) and
 proves, or else finds by bisection, one certificate row per step; the
@@ -66,11 +68,6 @@ class RegionTemplate:
         if not all(s.funnel.q <= d < math.inf for d, s in zip(self.deltas, self.controller.stages)):
             raise ValueError("each envelope offset must be finite and >= the matching steady-state bound q")
 
-    @cached_property
-    def _offsets(self) -> tuple:
-        """_start_chain's per-stage (v_bar, c, p, delta, q, mu), with p None."""
-        return tuple((s.v_bar, s.c, None, d, s.funnel.q, s.funnel.mu) for s, d in zip(self.controller.stages, self.deltas))
-
 
 def _start_output(z: float, p: float, law: StageControllerParams) -> float:
     """Output at t = 0 of a stage with error z and envelope start psi(0) = p.
@@ -84,7 +81,8 @@ def _start_output(z: float, p: float, law: StageControllerParams) -> float:
 
 
 def _start_chain(stages, x0: Sequence[float], y_d0: float):
-    """The one start chain: yield (law, z_i(0)) per stage from the initial state.
+    """The start chain of config offsets: yield (law, z_i(0)) per stage
+    from the initial state.
 
     ``stages`` holds (v_bar, c, p, delta, q, mu) per stage, with one of p and
     delta None; z_i(0) = x0_i minus the t = 0 output of the stage before
@@ -102,10 +100,19 @@ def _start_chain(stages, x0: Sequence[float], y_d0: float):
 def check_point(template: RegionTemplate, x: float, y: float) -> FeasibilityReport:
     """Per-point certificate of the cascade a ``delta`` config with the
     template's offsets resolves to at start (x, y), run through
-    check_feasibility; its report carries each stage's p and z(0).  Does per
+    check_feasibility once; its report carries each stage's p and z(0).
+
+    The two stage laws are built straight from the template's: z_1 = x -
+    y_d0 and p_1 = |z_1| + deltas[0], then z_2 = y - u_1(0) from
+    _start_output, the rule _start_chain applies, and p_2 = |z_2| +
+    deltas[1].  A non-finite start is refused by FunnelParams.  Does per
     cell the arithmetic feasible_region does per grid, so the two agree bit
     for bit."""
-    (law1, z1), (law2, z2) = _start_chain(template._offsets, (float(x), float(y)), template.y_d0)
+    (s1, s2), (d1, d2) = template.controller.stages, template.deltas
+    z1 = float(x) - template.y_d0
+    law1 = StageControllerParams(s1.v_bar, FunnelParams(abs(z1) + d1, s1.funnel.q, s1.funnel.mu), s1.c)
+    z2 = float(y) - _start_output(z1, law1.funnel.p, law1)
+    law2 = StageControllerParams(s2.v_bar, FunnelParams(abs(z2) + d2, s2.funnel.q, s2.funnel.mu), s2.c)
     return check_feasibility(CascadeConfig(2, (law1, law2)), template.bounds, (z1, z2))
 
 
@@ -138,7 +145,7 @@ def _stage_margins(template: RegionTemplate, p1: np.ndarray, u1: np.ndarray, y: 
     np.abs(p2, out=p2)
     p2 += template.deltas[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
+        (_, _, m1, _), (_, _, m2, _) = _certificate(template.bounds, (p1, p2), template.controller.stages)
     return m1, m2
 
 

@@ -34,18 +34,20 @@ class FunnelParams:
     q: float
     mu: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "mu", float(self.mu))
-        if not (math.isfinite(self.p) and math.isfinite(self.q) and math.isfinite(self.mu)):
+    def __init__(self, p: float, q: float, mu: float) -> None:
+        # Checked as locals, then stored once, as a fresh instance dict past
+        # the frozen __setattr__ (a plain dict keeps attribute reads fast);
+        # dataclass() keeps this __init__, and replace() calls it.
+        p, q, mu = float(p), float(q), float(mu)
+        if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(mu)):
             raise ValueError("funnel parameters must be finite")
-        if self.q <= 0.0:
-            raise ValueError(f"steady-state bound q must be > 0, got {self.q}")
-        if self.p < self.q:
-            raise ValueError(f"initial bound p must satisfy p >= q, got p={self.p}, q={self.q}")
-        if self.mu <= 0.0:
-            raise ValueError(f"decay rate mu must be > 0, got {self.mu}")
+        if q <= 0.0:
+            raise ValueError(f"steady-state bound q must be > 0, got {q}")
+        if p < q:
+            raise ValueError(f"initial bound p must satisfy p >= q, got p={p}, q={q}")
+        if mu <= 0.0:
+            raise ValueError(f"decay rate mu must be > 0, got {mu}")
+        object.__setattr__(self, "__dict__", dict(p=p, q=q, mu=mu))
 
 
 def _check_time(t: float) -> float:

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import funnelcap
@@ -118,3 +119,20 @@ def test_only_the_kernel_generator_is_imported_inside_a_function():
 
 def test_certificate_does_not_import_the_region_sweep():
     assert "feasibility" not in {target for target, _ in package_imports()["certificate"]}
+
+
+def test_no_module_compiles_with_a_higher_peak_than_config():
+    # Run without bytecode caches, every process compiles each module it
+    # imports, and its peak memory follows the largest compile peak, which
+    # is config.py's; a module grown past it raises that peak.
+    peaks = {}
+    for path in sorted(Path(funnelcap.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    ceiling = peaks.pop("config.py")
+    assert {name: peak for name, peak in peaks.items() if peak >= ceiling} == {}

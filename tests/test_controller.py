@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,13 @@ class TestCascade:
             CascadeConfig(n=3, stages=ex1_cascade().stages)
         with pytest.raises(ValueError):
             CascadeConfig(n=0, stages=())
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_order_must_be_an_int(self, n):
+        # a float order once passed, and simulate then failed on range(n)
+        stages = ex1_cascade().stages[: 1 if n is True else 2]
+        with pytest.raises(ValueError, match=rf"^system order n must be an int, got {re.escape(repr(n))}$"):
+            CascadeConfig(n=n, stages=stages)
 
 
 theta_st = st.floats(min_value=-(1.0 - 1e-9), max_value=1.0 - 1e-9)

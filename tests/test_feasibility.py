@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import tracemalloc
 import warnings
 from itertools import repeat
@@ -476,11 +478,25 @@ def test_scalar_certificate_matches_one_element_arrays_bit_for_bit(n, data):
     p = [np.array([s.funnel.p]) for s in config.stages]
     with np.errstate(all="ignore"):
         rows = _certificate(bounds, p, config.stages)
-        slews = [_slew(varphi, p_i, law) for (varphi, _, _), p_i, law in zip(rows, p, config.stages)]
-    for s, (varphi, rhs, margin), r in zip(report.stages, rows, slews):
+        slews = [_slew(varphi, p_i, law) for (varphi, _, _, _), p_i, law in zip(rows, p, config.stages)]
+    for s, (varphi, rhs, margin, _), r in zip(report.stages, rows, slews):
         assert bits([s.varphi, s.rhs, s.margin, s.r]) == bits([varphi[0], rhs[0], margin[0], r[0]])
         for name in ("varphi", "rhs", "margin", "r", "p", "z0", "trivial_margin"):
             assert type(getattr(s, name)) is float, name
+
+
+def test_recursion_returns_each_slew_bound_intact():
+    # Stage i's returned r_i is _slew of its returned varphi_i, also on
+    # arrays whose later stages reuse buffers; the last stage's is None.
+    law = ex1_config().stages[0]
+    stages = (law, law, law)
+    bounds = BoundsSpec(k=(0.5, 1.0, 2.0), g_lo=(1.0,) * 3, g_hi=(1.5,) * 3, d_bar=(0.1,) * 3, v0_bar=1.0, r0=0.5)
+    rows_p = [1.0, 1.5, 2.0], [np.array([1.0, 1.2, 1.4]), np.full((2, 3), 1.5), np.full((2, 3), 2.0) + [[0.0], [0.5]]]
+    for p in rows_p:
+        rows = _certificate(bounds, p, stages)
+        assert rows[-1][3] is None
+        for (varphi, _, _, r), p_i in zip(rows[:-1], p):
+            assert bits(np.ravel(r)) == bits(np.ravel(_slew(varphi, p_i, law)))
 
 
 class TestMarginMonotonicity:
@@ -583,6 +599,29 @@ class TestRegion:
                 assert res.margin_c1[iy, ix] == pt.stages[0].margin
                 assert res.margin_c2[iy, ix] == pt.stages[1].margin
 
+    @pytest.mark.parametrize(
+        "name, feasible, digest",
+        [
+            ("pendulum_ex1", 632, "b942b99f20cd0349cae5a8f6226a8292d4fa57bf3ac8b780d4cf1d3707a3c447"),
+            ("nonlinear_ex2", 91, "7fed1964f7fefe3a4e1c4890fb5679b42e746d9ff1350efcd1bb242519aeeb03"),
+        ],
+    )
+    def test_point_reports_are_pinned(self, name, feasible, digest):
+        # Every field of every report, r, p, z0 and trivial_margin included,
+        # through the repr of its floats: 2000 seeded cells, the far cells
+        # whose stage-1 ratio clamps, and the cell at u_1(0) where z_2(0) = 0.
+        template = builtin_system(name).region.template
+        rng = random.Random(29)
+        cells = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(2000)]
+        z1 = 0.5 - template.y_d0
+        pivot = _start_output(z1, abs(z1) + template.deltas[0], template.controller.stages[0])
+        cells += [(1e17, 0.0), (-1e17, 0.0), (0.5, pivot)]
+        reports = [check_point(template, x, y) for x, y in cells]
+        assert reports[-1].stages[1].z0 == 0.0
+        assert sum(report.feasible for report in reports) == feasible
+        text = "\n".join(map(repr, reports))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_region_nonempty_and_contains_starts(self):
         res1 = feasible_region(ex1_template(), np.linspace(-2, 2, 41), np.linspace(-2, 2, 41))
         assert res1.feasible.any()
@@ -642,7 +681,7 @@ class TestRegion:
         p1 = np.array([abs(xi - template.y_d0) + template.deltas[0] for xi in x.tolist()])
         u1 = np.array([_start_output(xi - template.y_d0, p, law) for xi, p in zip(x.tolist(), p1.tolist())])
         p2 = np.abs(y[:, None] - u1) + template.deltas[1]
-        (_, _, m1), (_, _, m2) = _certificate(template.bounds, (p1, p2), template.controller.stages)
+        (_, _, m1, _), (_, _, m2, _) = _certificate(template.bounds, (p1, p2), template.controller.stages)
         res = feasible_region(template, x, y)
         assert res.margin_c1.shape == res.margin_c2.shape == res.feasible.shape == (ny, nx)
         assert np.array_equal(res.margin_c1, m1)
